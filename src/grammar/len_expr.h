@@ -74,6 +74,13 @@ class LenExpr {
 
   bool uses_dollar() const { return UsesDollar(node_.get()); }
 
+  // Read-only view of the tree, for printers. lhs()/rhs() are valid only on
+  // kAdd/kSub/kMul nodes, field_name() only on kField.
+  Op op() const { return node_->op; }
+  const std::string& field_name() const { return node_->field_name; }
+  LenExpr lhs() const { return LenExpr(node_->lhs); }
+  LenExpr rhs() const { return LenExpr(node_->rhs); }
+
  private:
   struct Node {
     Op op;
@@ -83,6 +90,8 @@ class LenExpr {
     std::shared_ptr<Node> lhs;
     std::shared_ptr<Node> rhs;
   };
+
+  explicit LenExpr(std::shared_ptr<Node> node) : node_(std::move(node)) {}
 
   static std::shared_ptr<Node> MakeNode(Op op, uint64_t constant, std::string name) {
     return std::make_shared<Node>(Node{op, constant, std::move(name), -1, nullptr, nullptr});

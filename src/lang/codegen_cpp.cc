@@ -1,176 +1,65 @@
 #include "lang/codegen_cpp.h"
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/check.h"
 #include "lang/lower.h"
 
 namespace flick::lang {
 namespace {
 
-// ----------------------------------------------------- size / pseudo-code ----
+// ------------------------------------------------------------------ units ----
 
-// C++ rendering of a size annotation as a grammar::LenExpr value. At the top
-// level a plain integer literal uses the Bytes(name, uint64_t) overload
-// (identical to LenExpr::Const); nested literals must spell the constructor.
-void EmitLenExpr(const Expr& expr, std::ostringstream& out, bool top_level) {
-  switch (expr.kind) {
-    case ExprKind::kIntLit:
-      if (top_level) {
-        out << expr.int_value;
-      } else {
-        out << "grammar::LenExpr::Const(" << expr.int_value << ")";
-      }
+// The C++ expression that rebuilds `expr`.
+void PrintLenExpr(const grammar::LenExpr& expr, std::ostringstream& out) {
+  using Op = grammar::LenExpr::Op;
+  switch (expr.op()) {
+    case Op::kConst:
+      out << "grammar::LenExpr::Const(" << expr.const_value() << ")";
       return;
-    case ExprKind::kVar:
-      out << "grammar::LenExpr::Field(\"" << expr.text << "\")";
+    case Op::kField:
+      out << "grammar::LenExpr::Field(\"" << expr.field_name() << "\")";
       return;
-    case ExprKind::kBinary: {
+    case Op::kDollar:
+      out << "grammar::LenExpr::Dollar()";
+      return;
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMul:
       out << "(";
-      EmitLenExpr(*expr.base, out, /*top_level=*/false);
-      out << (expr.op == BinOp::kAdd ? " + " : expr.op == BinOp::kSub ? " - " : " * ");
-      EmitLenExpr(*expr.index, out, /*top_level=*/false);
+      PrintLenExpr(expr.lhs(), out);
+      out << (expr.op() == Op::kAdd ? " + " : expr.op() == Op::kSub ? " - " : " * ");
+      PrintLenExpr(expr.rhs(), out);
       out << ")";
-      return;
-    }
-    default:
-      out << "/*unsupported*/0";
-  }
-}
-
-// The pseudo-code renderer for the `#if 0` reference block: the checked fun
-// and proc bodies as readable C++-ish statements. Not part of the compiled
-// surface — the executable logic ships in the handlers rendered from the
-// lowering plans below.
-void EmitExpr(const Expr& expr, std::ostringstream& out) {
-  switch (expr.kind) {
-    case ExprKind::kIntLit: out << expr.int_value; return;
-    case ExprKind::kStringLit: out << '"' << expr.text << '"'; return;
-    case ExprKind::kBoolLit: out << (expr.bool_value ? "true" : "false"); return;
-    case ExprKind::kNoneLit: out << "std::nullopt"; return;
-    case ExprKind::kVar: out << expr.text; return;
-    case ExprKind::kField:
-      EmitExpr(*expr.base, out);
-      out << ".get_" << expr.text << "()";
-      return;
-    case ExprKind::kIndex:
-      EmitExpr(*expr.base, out);
-      out << "[";
-      EmitExpr(*expr.index, out);
-      out << "]";
-      return;
-    case ExprKind::kCall: {
-      if (expr.text == "hash") {
-        out << "flick::HashBytes(";
-      } else if (expr.text == "len") {
-        out << "std::size(";
-      } else {
-        out << expr.text << "(";
-      }
-      for (size_t i = 0; i < expr.args.size(); ++i) {
-        if (i > 0) {
-          out << ", ";
-        }
-        EmitExpr(*expr.args[i], out);
-      }
-      out << ")";
-      return;
-    }
-    case ExprKind::kBinary: {
-      const char* op = "?";
-      switch (expr.op) {
-        case BinOp::kEq: op = "=="; break;
-        case BinOp::kNeq: op = "!="; break;
-        case BinOp::kLt: op = "<"; break;
-        case BinOp::kGt: op = ">"; break;
-        case BinOp::kLe: op = "<="; break;
-        case BinOp::kGe: op = ">="; break;
-        case BinOp::kAdd: op = "+"; break;
-        case BinOp::kSub: op = "-"; break;
-        case BinOp::kMul: op = "*"; break;
-        case BinOp::kDiv: op = "/"; break;
-        case BinOp::kMod: op = "%"; break;
-        case BinOp::kAnd: op = "&&"; break;
-        case BinOp::kOr: op = "||"; break;
-      }
-      out << "(";
-      EmitExpr(*expr.base, out);
-      out << " " << op << " ";
-      EmitExpr(*expr.index, out);
-      out << ")";
-      return;
-    }
-    case ExprKind::kUnary:
-      out << (expr.unary_op == '!' ? "!" : "-");
-      EmitExpr(*expr.base, out);
       return;
   }
 }
 
-void EmitStmt(const Stmt& stmt, std::ostringstream& out, int indent) {
-  const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  switch (stmt.kind) {
-    case StmtKind::kGlobal:
-      out << pad << "// global " << stmt.name << ": shared StateStore dict\n";
-      return;
-    case StmtKind::kLet:
-      out << pad << "const auto " << stmt.name << " = ";
-      EmitExpr(*stmt.value, out);
-      out << ";\n";
-      return;
-    case StmtKind::kAssign:
-      out << pad;
-      EmitExpr(*stmt.target, out);
-      out << " = ";
-      EmitExpr(*stmt.value, out);
-      out << ";  // StateStore::Put\n";
-      return;
-    case StmtKind::kSend: {
-      out << pad << "// pipeline: value";
-      out << "\n" << pad << "auto pipeline_value = ";
-      EmitExpr(*stmt.value, out);
-      out << ";\n";
-      for (const ExprPtr& stage : stmt.send_stages) {
-        if (stage->kind == ExprKind::kCall) {
-          out << pad << "pipeline_value = ";
-          EmitExpr(*stage, out);
-          out << ";  // +pipeline_value as last arg\n";
-        } else {
-          out << pad << "emit.Emit(/*channel=*/";
-          EmitExpr(*stage, out);
-          out << ", pipeline_value);\n";
-        }
-      }
-      return;
+// The unit as a UnitBuilder chain, field by field. SynthesizeUnit builds only
+// fixed-width and ascii integers and sized byte strings.
+void PrintUnit(const grammar::Unit& unit, std::ostringstream& out) {
+  out << "grammar::Unit Make_" << unit.name() << "_Unit() {\n"
+      << "  return grammar::UnitBuilder(\"" << unit.name() << "\")\n"
+      << "      .ByteOrder(ByteOrder::"
+      << (unit.byte_order() == ByteOrder::kBig ? "kBig" : "kLittle") << ")\n";
+  for (const grammar::FieldSpec& field : unit.fields()) {
+    FLICK_CHECK(field.kind != grammar::FieldKind::kVar);
+    if (field.kind == grammar::FieldKind::kBytes) {
+      out << "      .Bytes(\"" << field.name << "\", ";
+      PrintLenExpr(field.length, out);
+      out << ")\n";
+    } else if (field.ascii) {
+      out << "      .AsciiUInt(\"" << field.name << "\")\n";
+    } else {
+      out << "      .UInt(\"" << field.name << "\", " << field.fixed_size << ")\n";
     }
-    case StmtKind::kIf:
-      out << pad << "if (";
-      EmitExpr(*stmt.cond, out);
-      out << ") {\n";
-      for (const StmtPtr& s : stmt.then_block) {
-        EmitStmt(*s, out, indent + 1);
-      }
-      if (!stmt.else_block.empty()) {
-        out << pad << "} else {\n";
-        for (const StmtPtr& s : stmt.else_block) {
-          EmitStmt(*s, out, indent + 1);
-        }
-      }
-      out << pad << "}\n";
-      return;
-    case StmtKind::kExpr:
-      out << pad << "return ";
-      EmitExpr(*stmt.value, out);
-      out << ";\n";
-      return;
-    case StmtKind::kFoldt:
-      out << pad << "// foldt on " << stmt.foldt_channels << " ordering by "
-          << stmt.foldt_order_field << " combine " << stmt.foldt_combine_fun
-          << " -> MergeTask tree (see services/hadoop_agg.cc)\n";
-      return;
   }
+  out << "      .Build().value();\n}\n\n";
+  out << "const grammar::Unit& " << unit.name() << "_Unit() {\n"
+      << "  static const grammar::Unit unit = Make_" << unit.name() << "_Unit();\n"
+      << "  return unit;\n}\n\n";
 }
 
 // --------------------------------------------------------- canonical shape ----
@@ -184,7 +73,6 @@ struct CanonicalShape {
   std::vector<const Param*> scalars;  // channel params, index = position in list
   const Param* array = nullptr;
   int array_base = -1;
-  bool supported = false;  // false: >1 array — only pseudo-code is emitted
 };
 
 CanonicalShape ShapeOf(const ProcDecl& proc) {
@@ -201,9 +89,8 @@ CanonicalShape ShapeOf(const ProcDecl& proc) {
       shape.scalars.push_back(&p);
     }
   }
-  shape.supported = arrays <= 1;
-  if (!shape.supported) {
-    return shape;
+  if (arrays > 1) {
+    return {};  // no canonical wiring: the printed plan stays empty
   }
   int next = 0;
   for (const Param* p : shape.scalars) {
@@ -219,381 +106,185 @@ CanonicalShape ShapeOf(const ProcDecl& proc) {
   return shape;
 }
 
-// ----------------------------------------------------------- native handler ----
+// ------------------------------------------------------------------- plans ----
 
-const char* ShapeName(RulePlan::Shape shape) {
+const char* ShapeEnumerator(RulePlan::Shape shape) {
   switch (shape) {
-    case RulePlan::Shape::kForward: return "forward";
-    case RulePlan::Shape::kHashRoute: return "hash-route";
-    case RulePlan::Shape::kCacheUpdateForward: return "cache-update + forward";
-    case RulePlan::Shape::kCacheTestRoute: return "cache-test / hash-route";
+    case RulePlan::Shape::kForward: return "kForward";
+    case RulePlan::Shape::kHashRoute: return "kHashRoute";
+    case RulePlan::Shape::kCacheUpdateForward: return "kCacheUpdateForward";
+    case RulePlan::Shape::kCacheTestRoute: return "kCacheTestRoute";
   }
   return "?";
 }
 
-std::string FieldComment(const grammar::Unit* unit, int index) {
-  if (unit == nullptr || index < 0 ||
-      static_cast<size_t>(index) >= unit->fields().size()) {
-    return "";
-  }
-  return " /* " + unit->fields()[static_cast<size_t>(index)].name + " */";
+// One RulePlan as a literal assigned to plan.rules[<index>]. Route outputs can
+// only name the channel array, so they print as the expanded `backends`.
+void PrintRule(const RulePlan& rule, const std::string& index,
+               std::ostringstream& out, const std::string& pad) {
+  out << pad << "plan.rules[" << index << "] = lang::RulePlan{\n"
+      << pad << "    .shape = lang::RulePlan::Shape::" << ShapeEnumerator(rule.shape)
+      << ",\n"
+      << pad << "    .forward_out = " << rule.forward_out << ",\n"
+      << pad << "    .route_outs = " << (rule.route_outs.empty() ? "{}" : "backends")
+      << ",\n"
+      << pad << "    .key_field = " << rule.key_field << ",\n"
+      << pad << "    .key_is_bytes = " << (rule.key_is_bytes ? "true" : "false") << ",\n"
+      << pad << "    .cmp_field = " << rule.cmp_field << ",\n"
+      << pad << "    .cmp_is_bytes = " << (rule.cmp_is_bytes ? "true" : "false") << ",\n"
+      << pad << "    .cmp_value = " << rule.cmp_value << "u,\n"
+      << pad << "    .dict = \"" << rule.dict << "\",\n"
+      << pad << "};\n";
 }
 
-// Renders the hash-route tail of a plan: interp-parity hash (masked positive,
-// int64 mod), target = array_base + idx.
-void EmitRouteTail(const RulePlan& plan, const CanonicalShape& shape,
-                   const grammar::Unit* unit, std::ostringstream& out,
-                   const std::string& pad) {
-  out << pad << "if (backend_count == 0) {\n"
-      << pad << "  return runtime::HandleResult::kConsumed;  // route with no targets: drop\n"
-      << pad << "}\n";
-  if (plan.key_is_bytes) {
-    out << pad << "const uint64_t h = flick::HashBytes(m.GetBytes(" << plan.key_field
-        << FieldComment(unit, plan.key_field) << ")) & 0x7fffffffffffffffull;\n";
-  } else {
-    out << pad << "const uint64_t h = flick::MixU64(m.GetUInt(" << plan.key_field
-        << FieldComment(unit, plan.key_field) << ")) >> 1;\n";
+// Make_<proc>_Plan(backend_count): AnalyzeProc's plan for the canonical
+// wiring, with the array's one analysis slot expanded to `backend_count`.
+// With no backends a route rule has no targets, so — as in AnalyzeProc — it is
+// left out and its input falls back.
+void PrintPlan(const CompiledProgram& program, const ProcDecl& proc,
+               const CanonicalShape& shape, std::ostringstream& out) {
+  const ProcPlan plan = AnalyzeProc(program, proc, shape.wiring);
+  const size_t scalars = shape.scalars.size();
+
+  out << "// proc " << proc.name << " -> dispatch plan. Scalar channels take proc\n"
+         "// inputs/outputs in declaration order, then one per backend.\n"
+      << "lang::ProcPlan Make_" << proc.name
+      << "_Plan([[maybe_unused]] size_t backend_count) {\n";
+  if (shape.array != nullptr) {
+    out << "  std::vector<int> backends;\n"
+        << "  for (size_t i = 0; i < backend_count; ++i) {\n"
+        << "    backends.push_back(static_cast<int>(" << shape.array_base << " + i));\n"
+        << "  }\n";
   }
-  out << pad << "const size_t target = " << shape.array_base
-      << " + static_cast<size_t>(static_cast<int64_t>(h) % "
-         "static_cast<int64_t>(backend_count));\n"
-      << pad << "if (!emit.CanEmit(target)) {\n"
-      << pad << "  return runtime::HandleResult::kBlocked;\n"
-      << pad << "}\n"
-      << pad << "(void)EmitRecordCopy(emit, target, m);\n"
-      << pad << "return runtime::HandleResult::kConsumed;\n";
+  out << "  lang::ProcPlan plan;\n"
+      << "  plan.rules.resize(" << scalars
+      << (shape.array != nullptr ? " + backend_count" : "") << ");\n";
+  for (size_t i = 0; i < scalars; ++i) {
+    const auto& rule = plan.rules[i];
+    if (!rule.has_value()) {
+      continue;
+    }
+    out << "  // " << shape.scalars[i]->name << "\n";
+    if (rule->route_outs.empty()) {
+      PrintRule(*rule, std::to_string(i), out, "  ");
+    } else {
+      out << "  if (backend_count > 0) {\n";
+      PrintRule(*rule, std::to_string(i), out, "    ");
+      out << "  }\n";
+    }
+  }
+  if (shape.array != nullptr &&
+      static_cast<size_t>(shape.array_base) < plan.rules.size() &&
+      plan.rules[static_cast<size_t>(shape.array_base)].has_value()) {
+    out << "  // " << shape.array->name << "\n"
+        << "  for (size_t i = 0; i < backend_count; ++i) {\n";
+    PrintRule(*plan.rules[static_cast<size_t>(shape.array_base)],
+              std::to_string(shape.array_base) + " + i", out, "    ");
+    out << "  }\n";
+  }
+  out << "  return plan;\n}\n\n";
 }
 
-// Renders one lowered plan as straight-line handler code. Same semantics as
-// lang/lower.cc's RunPlan, with every field index baked as a constant.
-void EmitPlanBody(const RulePlan& plan, const CanonicalShape& shape,
-                  const std::string& proc_name, const grammar::Unit* unit,
-                  std::ostringstream& out, const std::string& pad) {
-  switch (plan.shape) {
-    case RulePlan::Shape::kForward:
-      out << pad << "if (!emit.CanEmit(" << plan.forward_out << ")) {\n"
-          << pad << "  return runtime::HandleResult::kBlocked;\n"
-          << pad << "}\n"
-          << pad << "(void)EmitRecordCopy(emit, " << plan.forward_out << ", m);\n"
-          << pad << "return runtime::HandleResult::kConsumed;\n";
-      return;
-    case RulePlan::Shape::kHashRoute:
-      EmitRouteTail(plan, shape, unit, out, pad);
-      return;
-    case RulePlan::Shape::kCacheUpdateForward:
-      out << pad << "if (!emit.CanEmit(" << plan.forward_out << ")) {\n"
-          << pad << "  return runtime::HandleResult::kBlocked;\n"
-          << pad << "}\n"
-          << pad << "uint64_t cmp = 0;\n"
-          << pad << "if (state != nullptr && FieldU64(m, " << plan.cmp_field << ", "
-          << (plan.cmp_is_bytes ? "true" : "false") << FieldComment(unit, plan.cmp_field)
-          << ", &cmp) && cmp == " << plan.cmp_value << "u) {\n"
-          << pad << "  state->Put(\"" << plan.dict << "\", std::string(m.GetBytes("
-          << plan.key_field << FieldComment(unit, plan.key_field)
-          << ")), SerializeRecord(m));\n"
-          << pad << "}\n"
-          << pad << "(void)EmitRecordCopy(emit, " << plan.forward_out << ", m);\n"
-          << pad << "return runtime::HandleResult::kConsumed;\n";
-      return;
-    case RulePlan::Shape::kCacheTestRoute:
-      out << pad << "uint64_t cmp = 0;\n"
-          << pad << "if (state != nullptr && FieldU64(m, " << plan.cmp_field << ", "
-          << (plan.cmp_is_bytes ? "true" : "false") << FieldComment(unit, plan.cmp_field)
-          << ", &cmp) && cmp == " << plan.cmp_value << "u) {\n"
-          << pad << "  if (auto cached = state->Get(\"" << plan.dict
-          << "\", std::string(m.GetBytes(" << plan.key_field
-          << FieldComment(unit, plan.key_field) << "))); cached.has_value()) {\n"
-          << pad << "    if (!emit.CanEmit(" << plan.forward_out << ")) {\n"
-          << pad << "      return runtime::HandleResult::kBlocked;\n"
-          << pad << "    }\n"
-          << pad << "    runtime::MsgRef hit = emit.NewMsg();\n"
-          << pad << "    hit->kind = runtime::Msg::Kind::kBytes;  // cached wire form\n"
-          << pad << "    hit->bytes = std::move(*cached);\n"
-          << pad << "    (void)emit.Emit(" << plan.forward_out << ", std::move(hit));\n"
-          << pad << "    return runtime::HandleResult::kConsumed;\n"
-          << pad << "  }\n"
-          << pad << "}\n";
-      EmitRouteTail(plan, shape, unit, out, pad);
-      return;
+// ------------------------------------------------------------ graph wiring ----
+
+// Only the canonical middlebox shape gets wiring: one scalar channel the
+// service reads from (the accepted client) plus an optional backend array.
+void PrintGraph(const ProcDecl& proc, const CanonicalShape& shape,
+                std::ostringstream& out) {
+  const Param* client = nullptr;
+  for (const Param* p : shape.scalars) {
+    if (p->channel->in_type != "-") {
+      client = p;
+      break;
+    }
   }
-  (void)proc_name;
-}
-
-// The run-time support helpers every generated handler leans on. Emitted once
-// per translation unit, in an anonymous namespace.
-constexpr const char kSupportHelpers[] = R"cpp(namespace {
-
-// Interpreter-parity numeric view of a field: uint fields read directly,
-// short byte fields (1..8 bytes) compare big-endian, anything else is
-// incomparable and the guard fails closed.
-[[maybe_unused]] inline bool FieldU64(const grammar::Message& m, int field,
-                                      bool is_bytes, uint64_t* out) {
-  if (!is_bytes) {
-    *out = m.GetUInt(field);
-    return true;
+  if (client == nullptr || shape.scalars.size() != 1) {
+    out << "// proc " << proc.name << ": no canonical client/backends shape — "
+           "graph wiring not generated.\n\n";
+    return;
   }
-  const std::string_view bytes = m.GetBytes(field);
-  if (bytes.empty() || bytes.size() > 8) {
-    return false;
+  const std::string in_unit = client->channel->in_type + "_Unit()";
+  const std::string out_unit = client->channel->out_type == "-"
+                                   ? in_unit
+                                   : client->channel->out_type + "_Unit()";
+  out << "// proc " << proc.name << " -> per-connection graph (Fig. 3 shape):\n"
+         "// client source -> proc stage -> client sink + pooled backend legs.\n"
+         "// Call per accepted connection, then b.Launch(registry).\n";
+  out << "void Build_" << proc.name << "_Graph(\n"
+         "    services::GraphBuilder& b, std::unique_ptr<Connection> client_conn,\n";
+  if (shape.array != nullptr) {
+    out << "    services::BackendPool& pool,\n";
   }
-  uint64_t v = 0;
-  for (const char c : bytes) {
-    v = (v << 8) | static_cast<uint8_t>(c);
+  out << "    runtime::StateStore* state, runtime::ComputeTask::Handler fallback) {\n";
+  out << "  auto client = b.Adopt(std::move(client_conn));\n";
+  out << "  auto request = b.Source(\n"
+         "      \"client-in\", client,\n"
+         "      std::make_unique<runtime::GrammarDeserializer>(&" << in_unit << "));\n";
+  if (shape.array != nullptr) {
+    out << "  auto legs = b.FanOutPooled(pool, /*capacity=*/64);\n";
   }
-  *out = v;
-  return true;
+  out << "  auto proc = b.Stage(\"proc:" << proc.name << "\",\n"
+         "                      Make_" << proc.name << "_Handler(state, "
+      << (shape.array != nullptr ? "legs.size()" : "0") << ",\n"
+         "                                                       std::move(fallback)))\n"
+         "                  .From(request);  // proc input 0\n";
+  out << "  b.Sink(\"client-out\", client,\n"
+         "         std::make_unique<runtime::GrammarSerializer>(&" << out_unit
+      << "))\n"
+         "      .From(proc);  // proc output 0\n";
+  if (shape.array != nullptr) {
+    out << "  for (auto& leg : legs) {\n"
+           "    leg.sink.From(proc);  // proc outputs 1..n\n"
+           "  }\n"
+           "  for (auto& leg : legs) {\n"
+           "    proc.From(leg.source);  // proc inputs 1..n\n"
+           "  }\n";
+  }
+  out << "}\n\n";
 }
-
-// Dict values for records are the serialized wire form (interp parity;
-// serialisation mutates length fields by design).
-[[maybe_unused]] inline std::string SerializeRecord(grammar::Message& m) {
-  static thread_local BufferPool pool(64, 16 * 1024);
-  BufferChain chain(&pool);
-  grammar::UnitSerializer serializer(m.unit());
-  FLICK_CHECK(serializer.Serialize(m, chain).ok());
-  return chain.ToString();
-}
-
-[[maybe_unused]] inline bool EmitRecordCopy(runtime::EmitContext& emit, size_t out,
-                                            const grammar::Message& m) {
-  runtime::MsgRef ref = emit.NewMsg();
-  ref->kind = runtime::Msg::Kind::kGrammar;
-  ref->gmsg = m;  // deep copy into the outgoing message
-  return emit.Emit(out, std::move(ref));
-}
-
-}  // namespace
-)cpp";
 
 }  // namespace
 
 std::string GenerateCpp(const CompiledProgram& program) {
   std::ostringstream out;
   out << "// Generated by the FLICK compiler (codegen_cpp pass).\n"
-         "// Types -> grammar units; procs -> native ComputeTask handlers rendered\n"
-         "// from the lowering pass's rule plans (field indices baked as constants);\n"
-         "// graphs -> GraphBuilder wiring on the pooled runtime. Rules the lowering\n"
-         "// pass could not prove dispatch to the optional `fallback` handler.\n"
-         "#include <cstdint>\n"
+         "// Types -> the compiler's grammar units; procs -> the lowering pass's\n"
+         "// dispatch plans, run by the library's plan executor\n"
+         "// (lang::MakePlanHandler); graphs -> GraphBuilder wiring on the pooled\n"
+         "// runtime. Inputs without a plan dispatch to the `fallback` handler.\n"
+         "#include <cstddef>\n"
          "#include <memory>\n"
-         "#include <string>\n"
-         "#include <string_view>\n"
          "#include <utility>\n"
+         "#include <vector>\n"
          "\n"
-         "#include \"base/check.h\"\n"
-         "#include \"base/hash.h\"\n"
-         "#include \"buffer/buffer_chain.h\"\n"
-         "#include \"buffer/buffer_pool.h\"\n"
-         "#include \"grammar/serializer.h\"\n"
          "#include \"grammar/unit.h\"\n"
+         "#include \"lang/lower.h\"\n"
          "#include \"runtime/compute_task.h\"\n"
          "#include \"runtime/state_store.h\"\n"
          "#include \"services/graph_builder.h\"\n"
          "\n"
          "namespace flick::flickgen {\n\n";
-  out << kSupportHelpers << "\n";
 
-  // ------------------------------------------------------------- units ------
-  for (const TypeDecl& type : program.ast.types) {
-    out << "// type " << type.name << "\n";
-    out << "grammar::Unit Make_" << type.name << "_Unit() {\n";
-    out << "  return grammar::UnitBuilder(\"" << type.name << "\")\n";
-    out << "      .ByteOrder(ByteOrder::kBig)\n";
-    for (const FieldDecl& field : type.fields) {
-      const std::string& name = field.name;
-      if (field.type == "integer") {
-        if (field.annotation.is_ascii) {
-          out << "      .AsciiUInt(\"" << name << "\")\n";
-          continue;
-        }
-        uint64_t width = 8;
-        if (field.annotation.size != nullptr &&
-            field.annotation.size->kind == ExprKind::kIntLit) {
-          width = field.annotation.size->int_value;
-        }
-        out << "      .UInt(\"" << name << "\", " << width << ")\n";
-      } else if (field.annotation.size != nullptr) {
-        std::ostringstream size;
-        EmitLenExpr(*field.annotation.size, size, /*top_level=*/true);
-        out << "      .Bytes(\"" << name << "\", " << size.str() << ")\n";
-      } else {
-        out << "      .UInt(\"__len_" << name << "\", 4)\n";
-        out << "      .Bytes(\"" << name << "\", grammar::LenExpr::Field(\"__len_"
-            << name << "\"))\n";
-      }
-    }
-    out << "      .Build().value();\n}\n\n";
-    out << "const grammar::Unit& " << type.name << "_Unit() {\n"
-        << "  static const grammar::Unit unit = Make_" << type.name << "_Unit();\n"
-        << "  return unit;\n}\n\n";
+  for (const auto& [name, unit] : program.units) {
+    out << "// type " << name << "\n";
+    PrintUnit(unit, out);
   }
 
-  // -------------------------------------------- reference pseudo-code ------
-  // The checked source-level bodies, for inspection. The executable logic is
-  // in the handlers below; anything here that did NOT lower is reachable only
-  // through the fallback handler.
-  out << "// Checked fun/proc bodies (reference rendering, not compiled).\n";
-  out << "#if 0\n";
-  for (const FunDecl& fun : program.ast.funs) {
-    out << "// fun " << fun.name << "\n";
-    out << "auto " << fun.name << " = [](";
-    for (size_t i = 0; i < fun.params.size(); ++i) {
-      if (i > 0) {
-        out << ", ";
-      }
-      out << "auto&& " << fun.params[i].name;
-    }
-    out << ") {\n";
-    for (const StmtPtr& stmt : fun.body) {
-      EmitStmt(*stmt, out, 1);
-    }
-    out << "};\n\n";
-  }
-  for (const ProcDecl& proc : program.ast.procs) {
-    out << "// proc " << proc.name << "\n";
-    for (const StmtPtr& stmt : proc.body) {
-      EmitStmt(*stmt, out, 0);
-    }
-    out << "\n";
-  }
-  out << "#endif\n\n";
-
-  // ----------------------------------------------------------- handlers ------
   for (const ProcDecl& proc : program.ast.procs) {
     const CanonicalShape shape = ShapeOf(proc);
-    ProcPlan plan;
-    if (shape.supported) {
-      plan = AnalyzeProc(program, proc, shape.wiring);
-    }
-
+    PrintPlan(program, proc, shape, out);
     out << "// proc " << proc.name << " -> ComputeTask handler. `backend_count` is\n"
            "// the size of the backend channel array at graph-build time (0 if the\n"
-           "// proc has none); un-lowered inputs dispatch to `fallback` (pass the\n"
-           "// interpreter handler, or {} to drop).\n";
-    out << "runtime::ComputeTask::Handler Make_" << proc.name << "_Handler(\n"
-           "    [[maybe_unused]] runtime::StateStore* state, size_t backend_count,\n"
-           "    runtime::ComputeTask::Handler fallback) {\n";
-    out << "  return [state, backend_count, fallback = std::move(fallback)](\n"
-           "             runtime::Msg& msg, size_t input,\n"
-           "             runtime::EmitContext& emit) -> runtime::HandleResult {\n"
-           "    (void)state;\n"
-           "    (void)backend_count;\n"
-           "    if (msg.kind == runtime::Msg::Kind::kEof) {\n"
-           "      // All-or-nothing EOF broadcast (hand-written-service discipline).\n"
-           "      for (size_t o = 0; o < emit.output_count(); ++o) {\n"
-           "        if (!emit.CanEmit(o)) {\n"
-           "          return runtime::HandleResult::kBlocked;\n"
-           "        }\n"
-           "      }\n"
-           "      for (size_t o = 0; o < emit.output_count(); ++o) {\n"
-           "        runtime::MsgRef eof = emit.NewMsg();\n"
-           "        eof->kind = runtime::Msg::Kind::kEof;\n"
-           "        (void)emit.Emit(o, std::move(eof));\n"
-           "      }\n"
-           "      return runtime::HandleResult::kConsumed;\n"
-           "    }\n"
-           "    if (msg.kind == runtime::Msg::Kind::kGrammar) {\n"
-           "      [[maybe_unused]] grammar::Message& m = msg.gmsg;\n";
-
-    bool emitted_any = false;
-    if (shape.supported) {
-      for (size_t si = 0; si < shape.scalars.size(); ++si) {
-        const auto& rules = plan.rules;
-        if (si < rules.size() && rules[si].has_value()) {
-          const Param* p = shape.scalars[si];
-          const grammar::Unit* unit = p->channel->in_type == "-"
-                                          ? nullptr
-                                          : program.UnitFor(p->channel->in_type);
-          out << "      if (input == " << si << ") {  // " << p->name << ": "
-              << ShapeName(rules[si]->shape) << "\n";
-          EmitPlanBody(*rules[si], shape, proc.name, unit, out, "        ");
-          out << "      }\n";
-          emitted_any = true;
-        }
-      }
-      if (shape.array != nullptr && shape.array_base >= 0 &&
-          static_cast<size_t>(shape.array_base) < plan.rules.size() &&
-          plan.rules[static_cast<size_t>(shape.array_base)].has_value()) {
-        const grammar::Unit* unit =
-            shape.array->channel->in_type == "-"
-                ? nullptr
-                : program.UnitFor(shape.array->channel->in_type);
-        out << "      if (input >= " << shape.array_base << ") {  // "
-            << shape.array->name << ": "
-            << ShapeName(plan.rules[static_cast<size_t>(shape.array_base)]->shape)
-            << "\n";
-        EmitPlanBody(*plan.rules[static_cast<size_t>(shape.array_base)], shape,
-                     proc.name, unit, out, "        ");
-        out << "      }\n";
-        emitted_any = true;
-      }
-    }
-    if (!emitted_any) {
-      out << "      // no rule of this proc lowered: everything runs through\n"
-             "      // the fallback handler below.\n";
-    }
-    out << "    }\n"
-           "    return fallback ? fallback(msg, input, emit)\n"
-           "                    : runtime::HandleResult::kConsumed;\n"
-           "  };\n}\n\n";
-
-    // ------------------------------------------------------ graph wiring ----
-    // Only the canonical middlebox shape gets wiring: one scalar channel the
-    // service reads from (the accepted client) plus an optional backend array.
-    const Param* client = nullptr;
-    for (const Param* p : shape.scalars) {
-      if (p->channel->in_type != "-") {
-        client = p;
-        break;
-      }
-    }
-    if (!shape.supported || client == nullptr || shape.scalars.size() != 1) {
-      out << "// proc " << proc.name << ": no canonical client/backends shape — "
-             "graph wiring not generated.\n\n";
-      continue;
-    }
-    const std::string in_unit = client->channel->in_type + "_Unit()";
-    const std::string out_unit = client->channel->out_type == "-"
-                                     ? in_unit
-                                     : client->channel->out_type + "_Unit()";
-    out << "// proc " << proc.name << " -> per-connection graph (Fig. 3 shape):\n"
-           "// client source -> proc stage -> client sink + pooled backend legs.\n"
-           "// Call per accepted connection, then b.Launch(registry).\n";
-    out << "void Build_" << proc.name << "_Graph(\n"
-           "    services::GraphBuilder& b, std::unique_ptr<Connection> client_conn,\n";
-    if (shape.array != nullptr) {
-      out << "    services::BackendPool& pool,\n";
-    }
-    out << "    runtime::StateStore* state, runtime::ComputeTask::Handler fallback) {\n";
-    out << "  auto client = b.Adopt(std::move(client_conn));\n";
-    out << "  auto request = b.Source(\n"
-           "      \"client-in\", client,\n"
-           "      std::make_unique<runtime::GrammarDeserializer>(&" << in_unit << "));\n";
-    if (shape.array != nullptr) {
-      out << "  auto legs = b.FanOutPooled(pool, /*capacity=*/64);\n";
-      out << "  auto proc = b.Stage(\"proc:" << proc.name << "\",\n"
-             "                      Make_" << proc.name << "_Handler(state, legs.size(),\n"
-             "                                                       std::move(fallback)))\n"
-             "                  .From(request);  // proc input 0\n";
-    } else {
-      out << "  auto proc = b.Stage(\"proc:" << proc.name << "\",\n"
-             "                      Make_" << proc.name << "_Handler(state, 0,\n"
-             "                                                       std::move(fallback)))\n"
-             "                  .From(request);  // proc input 0\n";
-    }
-    out << "  b.Sink(\"client-out\", client,\n"
-           "         std::make_unique<runtime::GrammarSerializer>(&" << out_unit
-        << "))\n"
-           "      .From(proc);  // proc output 0\n";
-    if (shape.array != nullptr) {
-      out << "  for (auto& leg : legs) {\n"
-             "    leg.sink.From(proc);  // proc outputs 1..n\n"
-             "  }\n"
-             "  for (auto& leg : legs) {\n"
-             "    proc.From(leg.source);  // proc inputs 1..n\n"
-             "  }\n";
-    }
-    out << "}\n\n";
+           "// proc has none); inputs without a plan dispatch to `fallback` (pass\n"
+           "// the interpreter handler, or {} to drop).\n"
+        << "runtime::ComputeTask::Handler Make_" << proc.name << "_Handler(\n"
+           "    runtime::StateStore* state, size_t backend_count,\n"
+           "    runtime::ComputeTask::Handler fallback) {\n"
+        << "  return lang::MakePlanHandler(Make_" << proc.name
+        << "_Plan(backend_count), state,\n"
+           "                               std::move(fallback));\n"
+           "}\n\n";
+    PrintGraph(proc, shape, out);
   }
 
   out << "}  // namespace flick::flickgen\n";

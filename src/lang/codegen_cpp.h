@@ -2,13 +2,13 @@
 //
 // The paper's compiler emits C++ that links against the platform runtime
 // (§5: "The FLICK compiler translates an input FLICK program to C++"). This
-// pass emits a COMPILABLE translation unit: grammar-unit builders for every
-// type, native ComputeTask handlers rendered from the lowering pass's rule
-// plans (lang/lower.h) with field indices baked as constants, and
-// GraphBuilder wiring for the canonical client + backend-array proc shape.
-// Rules the lowering pass cannot prove route through an optional fallback
-// handler the caller supplies (typically the interpreter); the checked
-// source-level fun bodies ride along in an `#if 0` reference block.
+// pass prints what the compiler already built as one compilable translation
+// unit: each type's synthesized grammar::Unit as a UnitBuilder chain, each
+// proc's lowering plan (lang/lower.h) as lang::RulePlan literals expanded for
+// the backend count known at graph-build time, a handler that runs that plan
+// on the library's executor (lang::MakePlanHandler), and GraphBuilder wiring
+// for the canonical client + backend-array proc shape. It adds no dispatch
+// semantics of its own.
 #ifndef FLICK_LANG_CODEGEN_CPP_H_
 #define FLICK_LANG_CODEGEN_CPP_H_
 
@@ -18,9 +18,9 @@
 
 namespace flick::lang {
 
-// Renders the whole program as one self-contained C++ translation unit in
-// namespace flick::flickgen. Compiles against the project headers with no
-// further editing (the ctest codegen compile smoke asserts exactly that).
+// Renders the whole program as one C++ translation unit in namespace
+// flick::flickgen that links against flick_core (codegen_generated_test
+// builds and runs the output for both built-in programs).
 std::string GenerateCpp(const CompiledProgram& program);
 
 }  // namespace flick::lang

@@ -578,40 +578,25 @@ ProcPlan AnalyzeProc(const CompiledProgram& program, const ProcDecl& proc,
   return result;
 }
 
-runtime::ComputeTask::Handler MakeLoweredProcHandler(
-    std::shared_ptr<const CompiledProgram> program, const ProcDecl* proc,
-    ProcWiring wiring, runtime::StateStore* state, std::string state_prefix,
-    DslDispatchCounters counters) {
-  auto plan = std::make_shared<ProcPlan>(AnalyzeProc(*program, *proc, wiring));
+runtime::ComputeTask::Handler MakePlanHandler(ProcPlan plan, runtime::StateStore* state,
+                                              runtime::ComputeTask::Handler fallback,
+                                              DslCounters* counters) {
   if (state == nullptr) {
-    // Cache shapes need the store; demote those inputs to the interpreter
-    // (which no-ops dict access without a store, but stays semantically safe).
-    for (auto& rule : plan->rules) {
+    // Cache shapes need the store; demote those inputs to the fallback (the
+    // interpreter no-ops dict access without a store, but stays safe).
+    for (auto& rule : plan.rules) {
       if (rule.has_value() && PlanNeedsState(*rule)) {
         rule.reset();
       }
     }
   }
-  auto fallback =
-      MakeProcHandler(std::move(program), proc, std::move(wiring), state,
-                      std::move(state_prefix));
 
-  return [plan, fallback = std::move(fallback), state,
+  return [plan = std::make_shared<const ProcPlan>(std::move(plan)),
+          fallback = std::move(fallback), state,
           counters](runtime::Msg& msg, size_t input_index,
                     runtime::EmitContext& emit) -> runtime::HandleResult {
     if (msg.kind == runtime::Msg::Kind::kEof) {
-      // All-or-nothing EOF broadcast (hand-written-service discipline).
-      for (size_t out = 0; out < emit.output_count(); ++out) {
-        if (!emit.CanEmit(out)) {
-          return runtime::HandleResult::kBlocked;
-        }
-      }
-      for (size_t out = 0; out < emit.output_count(); ++out) {
-        runtime::MsgRef eof = emit.NewMsg();
-        eof->kind = runtime::Msg::Kind::kEof;
-        (void)emit.Emit(out, std::move(eof));
-      }
-      return runtime::HandleResult::kConsumed;
+      return BroadcastEof(emit);
     }
 
     const RulePlan* rule = input_index < plan->rules.size() &&
@@ -619,18 +604,32 @@ runtime::ComputeTask::Handler MakeLoweredProcHandler(
                                ? &*plan->rules[input_index]
                                : nullptr;
     if (rule == nullptr || msg.kind != runtime::Msg::Kind::kGrammar) {
-      if (counters.interp_fallbacks != nullptr) {
-        counters.interp_fallbacks->fetch_add(1, std::memory_order_relaxed);
+      if (!fallback) {
+        return runtime::HandleResult::kConsumed;  // no fallback: drop
       }
-      return fallback(msg, input_index, emit);
+      const runtime::HandleResult result = fallback(msg, input_index, emit);
+      if (result == runtime::HandleResult::kConsumed && counters != nullptr) {
+        counters->interp_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      }
+      return result;
     }
     const runtime::HandleResult result = RunPlan(*rule, msg.gmsg, emit, state);
-    if (result == runtime::HandleResult::kConsumed &&
-        counters.lowered_msgs != nullptr) {
-      counters.lowered_msgs->fetch_add(1, std::memory_order_relaxed);
+    if (result == runtime::HandleResult::kConsumed && counters != nullptr) {
+      counters->lowered_msgs.fetch_add(1, std::memory_order_relaxed);
     }
     return result;
   };
+}
+
+runtime::ComputeTask::Handler MakeLoweredProcHandler(
+    std::shared_ptr<const CompiledProgram> program, const ProcDecl* proc,
+    ProcWiring wiring, runtime::StateStore* state, std::string state_prefix,
+    DslCounters* counters) {
+  ProcPlan plan = AnalyzeProc(*program, *proc, wiring);
+  return MakePlanHandler(std::move(plan), state,
+                         MakeProcHandler(std::move(program), proc, std::move(wiring),
+                                         state, std::move(state_prefix)),
+                         counters);
 }
 
 }  // namespace flick::lang

@@ -1,5 +1,5 @@
 // Lowering pass (§4.3 / §5): turns checked proc pipeline rules into native
-// dispatch handlers with pre-resolved field indices, bypassing the bounded
+// dispatch plans with pre-resolved field indices, bypassing the bounded
 // evaluator's per-message Value boxing for the common middlebox shapes:
 //
 //   kForward             backends => client
@@ -11,10 +11,12 @@
 // single-level stage function calls) against these templates. Anything it
 // cannot prove falls back to the interpreter — per message, so a proc with
 // one lowerable rule and one opaque rule still runs the fast path where it
-// can. Lowered handlers reproduce the interpreter's observable semantics
-// (hash masking, dict key/value encoding, cache hits emitted as raw bytes)
-// but adopt the hand-written services' blocked-retry discipline: every side
-// effect happens only after the committing emit is known to succeed.
+// can. MakePlanHandler is the one native executor: it reproduces the
+// interpreter's observable semantics (hash masking, dict key/value encoding,
+// cache hits emitted as raw bytes) but adopts the hand-written services'
+// blocked-retry discipline: every side effect happens only after the
+// committing emit is known to succeed. Both DslService and the C++ that
+// codegen_cpp prints dispatch through it.
 #ifndef FLICK_LANG_LOWER_H_
 #define FLICK_LANG_LOWER_H_
 
@@ -49,6 +51,8 @@ struct RulePlan {
   bool cmp_is_bytes = true;
   uint64_t cmp_value = 0;
   std::string dict;                 // state dict name ("<proc>.<global>")
+
+  bool operator==(const RulePlan&) const = default;
 };
 
 // Per-proc analysis result: rules[i] is the plan for compute input i, or
@@ -66,6 +70,8 @@ struct ProcPlan {
   bool fully_lowered() const {
     return !rules.empty() && lowered_inputs() == rules.size();
   }
+
+  bool operator==(const ProcPlan&) const = default;
 };
 
 // Structural pattern match of `proc`'s pipeline rules against the lowerable
@@ -73,20 +79,30 @@ struct ProcPlan {
 ProcPlan AnalyzeProc(const CompiledProgram& program, const ProcDecl& proc,
                      const ProcWiring& wiring);
 
-// Dispatch counters, owned by the caller (services fold them into
-// RegistryStats). Either pointer may be null.
-struct DslDispatchCounters {
-  std::atomic<uint64_t>* lowered_msgs = nullptr;
-  std::atomic<uint64_t>* interp_fallbacks = nullptr;
+// Dispatch counters, owned by the caller (DslService's GraphRegistry folds
+// them into RegistryStats::dsl_*). Each counts a message once, when its
+// handler consumes it; a blocked message is counted on the re-delivery that
+// consumes it.
+struct DslCounters {
+  std::atomic<uint64_t> lowered_msgs{0};      // consumed by a lowered plan
+  std::atomic<uint64_t> interp_fallbacks{0};  // consumed by the fallback
 };
 
-// Builds a ComputeTask handler that runs lowered plans where AnalyzeProc
-// proved them and falls back to the interpreter (MakeProcHandler) per message
-// otherwise. Drop-in replacement for MakeProcHandler.
+// The native dispatch entry point. Runs plan.rules[input] against each parsed
+// kGrammar message; a message with no rule for its input (or not kGrammar)
+// goes to `fallback`, or is dropped when `fallback` is empty. EOF is broadcast
+// all-or-nothing (BroadcastEof). Cache-shaped rules need `state`; with a null
+// `state` they are demoted to the fallback. `counters` may be null.
+runtime::ComputeTask::Handler MakePlanHandler(ProcPlan plan, runtime::StateStore* state,
+                                              runtime::ComputeTask::Handler fallback,
+                                              DslCounters* counters = nullptr);
+
+// MakePlanHandler over AnalyzeProc's plan for `proc`, with the interpreter
+// (MakeProcHandler) as the fallback. Drop-in replacement for MakeProcHandler.
 runtime::ComputeTask::Handler MakeLoweredProcHandler(
     std::shared_ptr<const CompiledProgram> program, const ProcDecl* proc,
     ProcWiring wiring, runtime::StateStore* state, std::string state_prefix,
-    DslDispatchCounters counters = {});
+    DslCounters* counters = nullptr);
 
 }  // namespace flick::lang
 

@@ -15,7 +15,6 @@
 #ifndef FLICK_SERVICES_DSL_SERVICE_H_
 #define FLICK_SERVICES_DSL_SERVICE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/time_util.h"
+#include "lang/lower.h"
 #include "runtime/io_tasks.h"
 #include "runtime/platform.h"
 #include "runtime/task_graph.h"
@@ -233,13 +234,6 @@ struct CacheCounters {
   std::atomic<uint64_t> stale_served{0};  // degrade path: see RegistryStats
 };
 
-// DSL dispatch counters, owned by the GraphRegistry like CacheCounters and
-// incremented by DslService's (lowered or interpreted) proc handlers.
-struct DslCounters {
-  std::atomic<uint64_t> lowered_msgs{0};
-  std::atomic<uint64_t> interp_fallbacks{0};
-};
-
 // Tracks live graphs for a service and reaps them (unwatching their
 // connections, quiescing their tasks, destroying the graph) once all IO
 // tasks have closed. Thread-safe; reaping runs on the poller thread.
@@ -389,9 +383,10 @@ class GraphRegistry {
   CacheCounters& cache_counters() { return cache_; }
   const CacheCounters& cache_counters() const { return cache_; }
 
-  // DSL dispatch counters (DslService proc handlers; see RegistryStats).
-  DslCounters& dsl_counters() { return dsl_; }
-  const DslCounters& dsl_counters() const { return dsl_; }
+  // DSL dispatch counters, handed to DslService's proc handlers
+  // (lang::MakePlanHandler); see RegistryStats.
+  lang::DslCounters& dsl_counters() { return dsl_; }
+  const lang::DslCounters& dsl_counters() const { return dsl_; }
 
   // Records a failed GraphBuilder::Launch (the builder already closed the
   // legs and returned any pool leases).
@@ -567,7 +562,7 @@ class GraphRegistry {
   std::vector<PendingRetire> pending_retire_;  // live graphs awaiting IO close
   runtime::ConnLifetimeCounters lifetime_;
   CacheCounters cache_;
-  DslCounters dsl_;
+  lang::DslCounters dsl_;
   std::atomic<uint64_t> launch_failures_{0};
   std::atomic<uint64_t> graphs_adopted_{0};
   std::atomic<uint64_t> graphs_unwatched_{0};

@@ -1,6 +1,5 @@
 // Emits the generated C++ for one of the built-in FLICK programs to a file.
-// Used by the ctest codegen compile smoke: the output must compile against
-// the project headers with no further editing.
+// The build runs it to produce the sources codegen_generated_test links.
 //
 //   codegen_emit <memcached|resp> <out.cc>
 #include <cstdio>

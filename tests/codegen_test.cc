@@ -26,28 +26,35 @@ TEST(CodegenTest, EmitsHandlersForProcs) {
   EXPECT_NE(cpp.find("runtime::ComputeTask::Handler"), std::string::npos);
 }
 
-TEST(CodegenTest, EmitsFunctionBodies) {
+TEST(CodegenTest, PrintsFunctionBodiesAsRulePlans) {
   auto compiled = CompileSource(services::kMemcachedRouterSource);
   ASSERT_TRUE(compiled.ok());
   const std::string cpp = GenerateCpp(**compiled);
-  // update_cache's conditional and test_cache's hash dispatch must appear.
-  EXPECT_NE(cpp.find("auto update_cache"), std::string::npos);
-  EXPECT_NE(cpp.find("auto test_cache"), std::string::npos);
-  EXPECT_NE(cpp.find("flick::HashBytes("), std::string::npos);
-  EXPECT_NE(cpp.find("% std::size(backends)"), std::string::npos);
+  // test_cache lowers to the client's cache-test/route plan over the expanded
+  // backend array; update_cache to one cache-update/forward plan per backend.
+  EXPECT_NE(cpp.find("lang::ProcPlan Make_memcached_Plan("), std::string::npos);
+  EXPECT_NE(cpp.find(".shape = lang::RulePlan::Shape::kCacheTestRoute"),
+            std::string::npos);
+  EXPECT_NE(cpp.find(".shape = lang::RulePlan::Shape::kCacheUpdateForward"),
+            std::string::npos);
+  EXPECT_NE(cpp.find(".route_outs = backends"), std::string::npos);
+  EXPECT_NE(cpp.find(".dict = \"memcached.cache\""), std::string::npos);
 }
 
 TEST(CodegenTest, EmitsNativeDispatchFromLoweringPlans) {
-  auto compiled = CompileSource(services::kMemcachedRouterSource);
-  ASSERT_TRUE(compiled.ok());
-  const std::string cpp = GenerateCpp(**compiled);
-  // Both rules lower: the client input runs the cache-test/route plan, the
-  // backend inputs run cache-update/forward — with interp-parity hashing.
-  EXPECT_NE(cpp.find("cache-test / hash-route"), std::string::npos);
-  EXPECT_NE(cpp.find("cache-update + forward"), std::string::npos);
-  EXPECT_NE(cpp.find("& 0x7fffffffffffffffull"), std::string::npos);
-  EXPECT_NE(cpp.find("state->Get(\"memcached.cache\""), std::string::npos);
-  EXPECT_NE(cpp.find("runtime::HandleResult::kBlocked"), std::string::npos);
+  for (const char* source :
+       {services::kMemcachedRouterSource, services::kRespRouterSource}) {
+    auto compiled = CompileSource(source);
+    ASSERT_TRUE(compiled.ok());
+    const std::string cpp = GenerateCpp(**compiled);
+    // The handler hands the printed plan to the library's executor; every
+    // dispatch decision (hashing, dict access, EOF) is made there.
+    EXPECT_NE(cpp.find("return lang::MakePlanHandler("), std::string::npos);
+    for (const char* baked : {"HashBytes", "MixU64", "state->Get", "state->Put",
+                              "kEof", "CanEmit"}) {
+      EXPECT_EQ(cpp.find(baked), std::string::npos) << baked;
+    }
+  }
 }
 
 TEST(CodegenTest, EmitsGraphWiringForCanonicalShape) {
@@ -79,7 +86,7 @@ TEST(CodegenTest, AutoFramedStringsGetSynthesizedLengths) {
   EXPECT_NE(cpp.find("__len_value"), std::string::npos);
 }
 
-TEST(CodegenTest, FoldtEmitsMergeTreeComment) {
+TEST(CodegenTest, FoldtProcPrintsEmptyPlan) {
   auto compiled = CompileSource(
       "type kv: record\n"
       "    key : string\n"
@@ -90,7 +97,11 @@ TEST(CodegenTest, FoldtEmitsMergeTreeComment) {
       "    kv(e1.key, add(e1.value, e2.value))\n");
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const std::string cpp = GenerateCpp(**compiled);
-  EXPECT_NE(cpp.find("MergeTask tree"), std::string::npos);
+  // foldt does not lower: the plan has no rules, so every input falls back.
+  EXPECT_NE(cpp.find("lang::ProcPlan Make_hadoop_Plan("), std::string::npos);
+  EXPECT_EQ(cpp.find("lang::RulePlan{"), std::string::npos);
+  EXPECT_NE(cpp.find("proc hadoop: no canonical client/backends shape"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -413,7 +413,7 @@ class DslExecTest : public ::testing::Test {
     runtime::StateStore* state = with_state ? &state_ : nullptr;
     if (lowered) {
       handler_ = MakeLoweredProcHandler(program_, proc_, wiring, state, proc_name,
-                                        {&lowered_msgs_, &interp_fallbacks_});
+                                        &counters_);
     } else {
       handler_ = MakeProcHandler(program_, proc_, wiring, state, proc_name);
     }
@@ -440,10 +440,20 @@ class DslExecTest : public ::testing::Test {
     return msg;
   }
 
-  // Runs the handler for a message arriving on `input_index`.
-  runtime::HandleResult Deliver(runtime::MsgRef msg, size_t input_index) {
+  // Runs the handler for a message arriving on `input_index`. The message
+  // stays with the caller, so a kBlocked one can be re-delivered.
+  runtime::HandleResult Deliver(runtime::Msg& msg, size_t input_index) {
     runtime::EmitContext emit(&outputs_, &msgs_);
-    return handler_(*msg, input_index, emit);
+    return handler_(msg, input_index, emit);
+  }
+  runtime::HandleResult Deliver(runtime::MsgRef msg, size_t input_index) {
+    return Deliver(*msg, input_index);
+  }
+
+  // Fills `ch` to capacity with placeholder (non-EOF) messages.
+  void Fill(runtime::Channel* ch) {
+    while (ch->TryPush(msgs_.Acquire())) {
+    }
   }
 
   std::shared_ptr<CompiledProgram> program_;
@@ -454,8 +464,7 @@ class DslExecTest : public ::testing::Test {
   std::unique_ptr<runtime::Channel> client_out_;
   std::vector<std::unique_ptr<runtime::Channel>> backend_outs_;
   std::vector<runtime::Channel*> outputs_;
-  std::atomic<uint64_t> lowered_msgs_{0};
-  std::atomic<uint64_t> interp_fallbacks_{0};
+  DslCounters counters_;
 };
 
 // Wire encoding for the proxy's 3-field cmd: opcode(1) keylen(2) key.
@@ -661,8 +670,8 @@ TEST_F(DslExecTest, LoweredRoutingMatchesInterp) {
     }
     EXPECT_EQ(got, interp_choice[i]) << "key-" << i;
   }
-  EXPECT_EQ(lowered_msgs_.load(), static_cast<uint64_t>(kKeys));
-  EXPECT_EQ(interp_fallbacks_.load(), 0u);
+  EXPECT_EQ(counters_.lowered_msgs.load(), static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(counters_.interp_fallbacks.load(), 0u);
 }
 
 TEST_F(DslExecTest, LoweredRouterCachesAndServesHits) {
@@ -679,16 +688,54 @@ TEST_F(DslExecTest, LoweredRouterCachesAndServesHits) {
   EXPECT_EQ(cached->kind, runtime::Msg::Kind::kBytes);  // interp-parity hit form
   EXPECT_FALSE(backend_outs_[0]->TryPop());
   EXPECT_FALSE(backend_outs_[1]->TryPop());
-  EXPECT_EQ(lowered_msgs_.load(), 2u);
-  EXPECT_EQ(interp_fallbacks_.load(), 0u);
+  EXPECT_EQ(counters_.lowered_msgs.load(), 2u);
+  EXPECT_EQ(counters_.interp_fallbacks.load(), 0u);
 }
 
 TEST_F(DslExecTest, NullStateDemotesCachePlansToInterp) {
   Setup(kRouterSource, "memcached", 2, /*lowered=*/true, /*with_state=*/false);
   runtime::MsgRef resp = ParseCmd(RouterCmdWire(0x0c, "some-key", "v"));
   ASSERT_EQ(Deliver(std::move(resp), 1), runtime::HandleResult::kConsumed);
-  EXPECT_EQ(lowered_msgs_.load(), 0u);
-  EXPECT_EQ(interp_fallbacks_.load(), 1u);
+  EXPECT_EQ(counters_.lowered_msgs.load(), 0u);
+  EXPECT_EQ(counters_.interp_fallbacks.load(), 1u);
+}
+
+// A fallback message blocked on a full output is re-delivered by its
+// ComputeTask; it counts once, on the delivery that consumes it.
+TEST_F(DslExecTest, BlockedFallbackCountsOnce) {
+  Setup(kRouterSource, "memcached", 2, /*lowered=*/true, /*with_state=*/false);
+  Fill(client_out_.get());
+  // Not a GETK response: no dict write precedes the blocked send.
+  runtime::MsgRef resp = ParseCmd(RouterCmdWire(0x00, "some-key", "v"));
+  ASSERT_EQ(Deliver(*resp, 1), runtime::HandleResult::kBlocked);
+  while (client_out_->TryPop()) {
+  }
+  ASSERT_EQ(Deliver(*resp, 1), runtime::HandleResult::kConsumed);
+  EXPECT_TRUE(client_out_->TryPop());
+  EXPECT_EQ(counters_.interp_fallbacks.load(), 1u);
+  EXPECT_EQ(counters_.lowered_msgs.load(), 0u);
+}
+
+// EOF is all-or-nothing: with one output full the interpreter's handler emits
+// no EOF and asks for re-delivery; after a drain every output gets one.
+TEST_F(DslExecTest, EofWaitsForEveryOutput) {
+  Setup(kProxySource, "Memcached", 2);
+  Fill(backend_outs_[1].get());
+  runtime::MsgRef eof = msgs_.Acquire();
+  eof->kind = runtime::Msg::Kind::kEof;
+  ASSERT_EQ(Deliver(*eof, 0), runtime::HandleResult::kBlocked);
+  EXPECT_FALSE(client_out_->TryPop());
+  EXPECT_FALSE(backend_outs_[0]->TryPop());
+  while (runtime::MsgRef m = backend_outs_[1]->TryPop()) {
+    EXPECT_NE(m->kind, runtime::Msg::Kind::kEof);
+  }
+
+  ASSERT_EQ(Deliver(*eof, 0), runtime::HandleResult::kConsumed);
+  for (runtime::Channel* out : outputs_) {
+    runtime::MsgRef m = out->TryPop();
+    ASSERT_TRUE(m);
+    EXPECT_EQ(m->kind, runtime::Msg::Kind::kEof);
+  }
 }
 
 TEST_F(DslExecTest, LoweredEofFansOutToAllOutputs) {
