@@ -63,14 +63,12 @@ inline void ReportPoolCounters(benchmark::State& state,
   state.counters["pool_responses"] = avg(pstats.responses_routed);
   state.counters["pool_stripes"] =
       benchmark::Counter(static_cast<double>(pstats.stripes));
-  state.counters["pool_stripe_spills"] = avg(pstats.stripe_spills);
-  // Health plane: all three must read 0 on a steady-state point — the
-  // benches run against healthy backends with the deadline/breaker plane
-  // armed, so any nonzero value means the plane misfired under clean load
+  // Health plane: both must read 0 on a steady-state point — the benches run
+  // against healthy backends with the deadline/breaker plane armed, so any
+  // nonzero value means the plane misfired under clean load
   // (merge_bench_smoke.py asserts exactly that).
   state.counters["breaker_opens"] = avg(pstats.breaker_opens);
   state.counters["request_deadline_expiries"] = avg(pstats.request_deadline_expiries);
-  state.counters["retries_spent"] = avg(pstats.retries_spent);
 }
 
 // Exports the share-nothing plane counters of a platform: steals that

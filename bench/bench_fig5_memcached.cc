@@ -189,9 +189,8 @@ void BM_Fig5Conns_PerClient(benchmark::State& s) {
 // IO-plane shard scaling: the fig5 pooled point at io_shards = arg. With one
 // shard every accept, watch sweep and pool lease funnels through ONE poller
 // thread + ONE pool mutex; with N shards each connection's graph and its
-// pool stripe live on the accepting shard. `pool_stripe_spills` must stay 0
-// in steady state (every lease served by its home stripe) — the smoke
-// asserts that and that shards > 1 never lose to shards = 1 beyond noise.
+// pool stripe live on the accepting shard, which always serves its lease.
+// The smoke asserts that shards > 1 never lose to shards = 1 beyond noise.
 void Fig5Shards(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   for (auto _ : state) {

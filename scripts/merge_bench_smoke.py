@@ -29,9 +29,11 @@ Asserted invariants (smoke fails on violation):
      shards > 1 within SHARD_NOISE_FLOOR of the single-shard point (CI
      runners may have too few cores to show the win, but a sharded plane
      slower than one poller thread is a regression).
-  5. Stripe locality: every pooled point exporting pool_stripe_spills must
-     report 0 — in steady state every lease is served by its home stripe;
-     spills mean the striping is mis-sized or the spill path is leaking.
+  5. (Retired.) Stripe locality used to assert that no lease left its home
+     stripe. Every pool slot is now shared, so a lease is always served by
+     its home stripe, and neither the spill path nor its counter exists.
+     The number stays reserved so invariants 6-10 keep the numbers the docs
+     cite.
   6. Idle-conn plane: on every BM_IdleConns point the poller's quiescent
      sweep cost per idle connection stays near zero (edge-triggered
      readiness means the sweep never scans the idle mass), the cost does not
@@ -56,12 +58,11 @@ Asserted invariants (smoke fails on violation):
      windows and compares medians precisely so this assertion is stable on
      small runners — see bench/bench_tail_latency.cc.)
   9. Health plane quiescence: the smoke benches run against HEALTHY backends
-     with the deadline/breaker/retry plane armed (services default a 2 s
-     response deadline), so on every point exporting the health counters
-     breaker_opens == 0, request_deadline_expiries == 0 and
-     retries_spent == 0 — a breaker trip, deadline expiry or retry under
-     clean steady-state load means the health plane is misfiring (false
-     positives would fail real traffic too).
+     with the deadline/breaker plane armed (services default a 2 s response
+     deadline), so on every point exporting the health counters
+     breaker_opens == 0 and request_deadline_expiries == 0 — a breaker trip
+     or deadline expiry under clean steady-state load means the health
+     plane is misfiring (false positives would fail real traffic too).
  10. DSL ablation: the BM_DslAblation triple (same FLICK program, same
      pooled topology, three arms) must show the compile story working:
      the Lowered arm never LOSES to the Interp arm beyond noise (on a
@@ -215,22 +216,8 @@ def main(argv):
             batching.setdefault(b["name"], {}).update({
                 "reqs_per_s": rps,
                 "pool_stripes": c.get("pool_stripes"),
-                "pool_stripe_spills": c.get("pool_stripe_spills"),
                 "shard_speedup_vs_1": rps / base if base else None,
             })
-
-    # 5. Stripe locality: steady-state smoke must never spill a lease.
-    spills_checked = 0
-    for b in merged["benchmarks"]:
-        c = counters_of(b)
-        spills = c.get("pool_stripe_spills")
-        if spills is None:
-            continue
-        assert spills == 0, (
-            f"{b['name']}: {spills} pool stripe spills in steady state — "
-            f"leases are leaving their home stripe")
-        spills_checked += 1
-        batching.setdefault(b["name"], {}).setdefault("pool_stripe_spills", spills)
 
     # 7. Share-nothing planes: pinned compute never crosses a shard group,
     # sliced memory never spills to the global pool, on any sharded point.
@@ -301,8 +288,8 @@ def main(argv):
             f"must stay flat")
 
     # 9. Health plane quiescence: against healthy backends with the
-    # deadline/breaker/retry plane armed, no breaker may trip, no deadline
-    # may expire, no retry token may be spent.
+    # deadline/breaker plane armed, no breaker may trip and no deadline may
+    # expire.
     health_checked = 0
     for b in merged["benchmarks"]:
         c = counters_of(b)
@@ -310,8 +297,7 @@ def main(argv):
         if opens is None:
             continue
         expiries = c.get("request_deadline_expiries")
-        retries = c.get("retries_spent")
-        assert expiries is not None and retries is not None, \
+        assert expiries is not None, \
             f"{b['name']}: exports only part of the health counter set"
         assert opens == 0, (
             f"{b['name']}: {opens:.0f} breaker opens against healthy "
@@ -319,14 +305,10 @@ def main(argv):
         assert expiries == 0, (
             f"{b['name']}: {expiries:.0f} request deadline expiries in "
             f"steady state — responses are not beating the armed deadline")
-        assert retries == 0, (
-            f"{b['name']}: {retries:.0f} retry tokens spent with no faults "
-            f"injected — the retry plane is firing on clean load")
         health_checked += 1
         batching.setdefault(b["name"], {}).update({
             "breaker_opens": opens,
             "request_deadline_expiries": expiries,
-            "retries_spent": retries,
         })
     assert health_checked >= len(pooled), \
         "pooled points missing the health plane counters"
@@ -460,7 +442,6 @@ def main(argv):
           f"{len(pooled)} pooled fig5 points batching-checked; "
           f"{fills_checked} pooled points fill-checked; "
           f"{len(shard_points)} shard-scaling points checked; "
-          f"{spills_checked} points spill-checked; "
           f"{shard_plane_checked} points share-nothing-checked; "
           f"{len(idle_points)} idle-conn points checked; "
           f"{len(tail_points)} open-loop tail points checked; "

@@ -1,4 +1,4 @@
-// Calibrated CPU burn used by the SimTransport cost models (DESIGN.md §2).
+// Calibrated CPU burn used by the SimTransport cost models.
 //
 // The paper's kernel-vs-mTCP comparison is driven by per-connection and
 // per-syscall CPU overheads. We model those as real work on the caller's

@@ -137,7 +137,7 @@ runtime::ComputeTask::Handler MakeProcHandler(std::shared_ptr<const CompiledProg
           base_env](runtime::Msg& msg, size_t input_index,
                     runtime::EmitContext& emit) -> runtime::HandleResult {
     if (msg.kind == runtime::Msg::Kind::kEof) {
-      return BroadcastEof(emit);
+      return runtime::BroadcastEof(emit);
     }
 
     const std::string* param_name = wiring.ParamForInput(input_index);
@@ -210,20 +210,6 @@ runtime::ComputeTask::Handler MakeProcHandler(std::shared_ptr<const CompiledProg
     interp->ClearTemps();
     return fx.blocked ? runtime::HandleResult::kBlocked : runtime::HandleResult::kConsumed;
   };
-}
-
-runtime::HandleResult BroadcastEof(runtime::EmitContext& emit) {
-  for (size_t out = 0; out < emit.output_count(); ++out) {
-    if (!emit.CanEmit(out)) {
-      return runtime::HandleResult::kBlocked;
-    }
-  }
-  for (size_t out = 0; out < emit.output_count(); ++out) {
-    runtime::MsgRef eof = emit.NewMsg();
-    eof->kind = runtime::Msg::Kind::kEof;
-    (void)emit.Emit(out, std::move(eof));
-  }
-  return runtime::HandleResult::kConsumed;
 }
 
 runtime::MergeTask::OrderFn MakeFoldtOrder(std::shared_ptr<const CompiledProgram> program,

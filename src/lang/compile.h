@@ -3,9 +3,9 @@
 //
 // The paper's compiler emits C++ linked against the platform; this
 // implementation compiles to the same task-graph structures and executes
-// function bodies with a bounded evaluator (see DESIGN.md §2 for the
-// substitution rationale). `codegen_cpp.h` prints the compiled units and
-// dispatch plans as C++.
+// function bodies with a bounded evaluator or lowered native plans (see
+// ARCHITECTURE.md, "The DSL plane"). `codegen_cpp.h` prints the compiled
+// units and dispatch plans as C++.
 #ifndef FLICK_LANG_COMPILE_H_
 #define FLICK_LANG_COMPILE_H_
 
@@ -64,11 +64,6 @@ runtime::ComputeTask::Handler MakeProcHandler(std::shared_ptr<const CompiledProg
                                               const ProcDecl* proc, ProcWiring wiring,
                                               runtime::StateStore* state,
                                               std::string state_prefix);
-
-// All-or-nothing EOF broadcast: forwards EOF to every output when all of them
-// have room, else emits nothing and returns kBlocked so the re-delivered EOF
-// replays cleanly. A sink that misses its EOF never closes its leg.
-runtime::HandleResult BroadcastEof(runtime::EmitContext& emit);
 
 // foldt support: ordering/combining callbacks for MergeTask trees, driven by
 // the DSL combine function and ordering field (Listing 3).

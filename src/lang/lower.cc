@@ -596,7 +596,7 @@ runtime::ComputeTask::Handler MakePlanHandler(ProcPlan plan, runtime::StateStore
           counters](runtime::Msg& msg, size_t input_index,
                     runtime::EmitContext& emit) -> runtime::HandleResult {
     if (msg.kind == runtime::Msg::Kind::kEof) {
-      return BroadcastEof(emit);
+      return runtime::BroadcastEof(emit);
     }
 
     const RulePlan* rule = input_index < plan->rules.size() &&

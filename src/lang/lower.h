@@ -91,8 +91,9 @@ struct DslCounters {
 // The native dispatch entry point. Runs plan.rules[input] against each parsed
 // kGrammar message; a message with no rule for its input (or not kGrammar)
 // goes to `fallback`, or is dropped when `fallback` is empty. EOF is broadcast
-// all-or-nothing (BroadcastEof). Cache-shaped rules need `state`; with a null
-// `state` they are demoted to the fallback. `counters` may be null.
+// all-or-nothing (runtime::BroadcastEof). Cache-shaped rules need `state`;
+// with a null `state` they are demoted to the fallback. `counters` may be
+// null.
 runtime::ComputeTask::Handler MakePlanHandler(ProcPlan plan, runtime::StateStore* state,
                                               runtime::ComputeTask::Handler fallback,
                                               DslCounters* counters = nullptr);

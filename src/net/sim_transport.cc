@@ -7,11 +7,11 @@
 
 namespace flick {
 
-// Calibration notes (DESIGN.md §2): the absolute unit scale is arbitrary; the
-// ratios are what reproduce the paper. Kernel connection setup/teardown is
-// ~8x mTCP's (paper §6.3: non-persistent throughput 45k vs 193k req/s is
-// dominated by per-connection cost), and kernel per-call overhead ~4x (mode
-// switch + VFS; §5).
+// Calibration notes: the absolute unit scale is arbitrary; the ratios are
+// what reproduce the paper. Kernel connection setup/teardown is ~8x mTCP's
+// (paper §6.3: non-persistent throughput 45k vs 193k req/s is dominated by
+// per-connection cost), and kernel per-call overhead ~4x (mode switch + VFS;
+// §5).
 StackCostModel StackCostModel::Kernel() {
   return StackCostModel{"sim-kernel", /*connect=*/9000, /*accept=*/14000,
                         /*teardown=*/7000, /*op=*/900, /*per_kb=*/60};

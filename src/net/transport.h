@@ -3,7 +3,8 @@
 // The paper's platform runs either on the kernel TCP stack or on a modified
 // mTCP + DPDK user-space stack (§5). This repo provides the same seam:
 //   * SimTransport  — in-process fabric with calibrated kernel/mTCP cost
-//                     models (used by benches; see DESIGN.md §2), and
+//                     models (used by benches; see the calibration notes in
+//                     sim_transport.cc), and
 //   * KernelTransport — real non-blocking sockets on loopback.
 // All IO is non-blocking; the runtime polls readiness cooperatively.
 #ifndef FLICK_NET_TRANSPORT_H_

@@ -2,6 +2,20 @@
 
 namespace flick::runtime {
 
+HandleResult BroadcastEof(EmitContext& emit) {
+  for (size_t out = 0; out < emit.output_count(); ++out) {
+    if (!emit.CanEmit(out)) {
+      return HandleResult::kBlocked;
+    }
+  }
+  for (size_t out = 0; out < emit.output_count(); ++out) {
+    MsgRef eof = emit.NewMsg();
+    eof->kind = Msg::Kind::kEof;
+    (void)emit.Emit(out, std::move(eof));
+  }
+  return HandleResult::kConsumed;
+}
+
 ComputeTask::ComputeTask(std::string name, Handler handler, MsgPool* msgs)
     : Task(std::move(name)), handler_(std::move(handler)), msgs_(msgs) {}
 

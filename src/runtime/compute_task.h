@@ -53,6 +53,13 @@ enum class HandleResult {
   kBlocked,   // output full: re-deliver this message later
 };
 
+// All-or-nothing EOF broadcast: forwards EOF to every output when all of them
+// have room, else emits nothing and returns kBlocked so the re-delivered EOF
+// replays cleanly. A sink that misses its EOF never closes its leg, and its
+// graph never retires. The pre-check is sound only when the calling stage is
+// each output's sole producer.
+HandleResult BroadcastEof(EmitContext& emit);
+
 class ComputeTask : public Task {
  public:
   // handler(msg, input_index, emit) — msg ownership passes to the handler

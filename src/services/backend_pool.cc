@@ -1,6 +1,5 @@
 #include "services/backend_pool.h"
 
-#include <algorithm>
 #include <deque>
 #include <string>
 #include <unordered_map>
@@ -21,40 +20,11 @@ namespace flick::services {
 namespace internal {
 
 // One in-flight (sent, unanswered) request on a pooled wire. The FIFO of
-// these is the response-correlation state; the extra fields carry the health
-// plane: the absolute response deadline, the retained request (only when the
-// pool's retry policy re-issues, so the steady-state kNone path keeps zero
-// retention cost) and the ORIGIN conn task a re-issued request must hand its
-// response back to — the origin is the lease's bound reply producer, so a
-// foreign conn never pushes into the lease channel directly (SPSC contract).
+// these is the response-correlation state: the lease that sent the request
+// and its absolute response deadline.
 struct PendingEntry {
   uint64_t lease_id = 0;
-  uint64_t deadline_ns = 0;      // absolute MonotonicNanos; 0 = no deadline
-  runtime::MsgRef request;       // retained iff retry_policy != kNone
-  PoolConnTask* origin = nullptr;  // null/this = local; else hand replies back
-  uint8_t attempts = 0;          // re-issues already consumed
-};
-
-// Cross-connection work a run slice produced but must NOT deliver while its
-// own mutex is held (locking another conn's mutex under ours is the deadlock
-// recipe). The Run wrapper drains it through BackendPool::DispatchOutbox
-// with no lock held.
-struct PoolOutbox {
-  struct ForeignReply {
-    PoolConnTask* origin;
-    uint64_t lease_id;
-    runtime::MsgRef msg;
-  };
-  struct ForeignFail {
-    PoolConnTask* origin;
-    uint64_t lease_id;
-  };
-  std::vector<PendingEntry> retries;  // wire died: re-issue elsewhere
-  std::vector<ForeignReply> replies;  // responses owed to another conn's lease
-  std::vector<ForeignFail> fails;     // failures owed to another conn's lease
-  bool empty() const {
-    return retries.empty() && replies.empty() && fails.empty();
-  }
+  uint64_t deadline_ns = 0;  // absolute MonotonicNanos; 0 = no deadline
 };
 
 // Per-(backend, stripe) circuit breaker: the single source of truth for
@@ -148,15 +118,13 @@ class PoolConnTask : public runtime::Task {
   // with sibling conns.
   PoolConnTask(std::string name, BackendPool* pool, uint16_t port,
                runtime::PlatformEnv& env, runtime::IoPoller* poller,
-               size_t stripe, size_t backend_index, BackendHealth* health)
+               size_t stripe, BackendHealth& health)
       : Task(std::move(name)),
         pool_(pool),
         port_(port),
         transport_(env.transport),
         poller_(poller),
         msgs_(env.shard_msgs(stripe)),
-        stripe_(stripe),
-        backend_index_(backend_index),
         health_(health),
         rx_(env.shard_buffers(stripe)),
         tx_(env.shard_buffers(stripe)),
@@ -166,10 +134,7 @@ class PoolConnTask : public runtime::Task {
     fill_window_.set_max(pool->config_.fill_window);
     deadline_entry_.on_fire = [this] {
       deadline_fired_.store(true, std::memory_order_release);
-      runtime::Scheduler* scheduler = pool_->scheduler_;
-      if (scheduler != nullptr) {
-        scheduler->NotifyRunnable(this);
-      }
+      NotifySelf();
     };
   }
 
@@ -185,19 +150,13 @@ class PoolConnTask : public runtime::Task {
     }
   }
 
-  // `replies == nullptr` marks a streaming (write-only) leg: no correlation
-  // slot is consumed per request and the leg finishes on its EOF.
   void AttachLease(uint64_t lease_id, runtime::Channel* requests,
                    runtime::Channel* replies, runtime::Scheduler* scheduler) {
     std::lock_guard<std::mutex> lock(mutex_);
     requests->BindConsumer(this, scheduler);
-    if (replies != nullptr) {
-      replies->BindProducer(this);
-    }
+    replies->BindProducer(this);
     lease_index_[lease_id] = leases_.size();
-    leases_.push_back(LeaseSlot{lease_id, requests, replies,
-                                /*streaming=*/replies == nullptr,
-                                /*finished=*/false});
+    leases_.push_back(LeaseSlot{lease_id, requests, replies, /*finished=*/false});
   }
 
   // After this returns the task never touches the lease's channels again.
@@ -244,21 +203,24 @@ class PoolConnTask : public runtime::Task {
   }
 
   // Test hook (BackendPool::CloseConnectionForTest): drops the wire as a
-  // peer close would and defers the redial so the dead state is observable.
-  // Deliberately does NOT touch breaker accounting or fail the in-flight
-  // FIFO (legacy drop semantics): tests use it to construct dead-slot
-  // states, not to exercise the health plane.
+  // lost wire would and defers the redial so the dead state is observable.
+  // Breaker accounting is untouched: tests use it to construct dead-slot
+  // states, not to exercise the health plane. The wake lets the run slice
+  // deliver the in-flight requests' kError replies.
   void ForceDropWireForTest(uint64_t redial_hold_ns) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (wire_ != nullptr) {
-      Disconnect(nullptr);
-    } else {
-      wire_state_.store(WireState::kDead, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (wire_ != nullptr) {
+        Disconnect();
+      } else {
+        wire_state_.store(WireState::kDead, std::memory_order_release);
+      }
+      if (redial_hold_ns > 0) {
+        next_dial_at_ns_.store(MonotonicNanos() + redial_hold_ns,
+                               std::memory_order_release);
+      }
     }
-    if (redial_hold_ns > 0) {
-      next_dial_at_ns_.store(MonotonicNanos() + redial_hold_ns,
-                             std::memory_order_release);
-    }
+    NotifySelf();
   }
 
   // True once the lease's leg on this connection has consumed its EOF (the
@@ -301,39 +263,6 @@ class PoolConnTask : public runtime::Task {
 
   runtime::TaskRunResult Run(runtime::TaskContext& ctx) override;
 
-  // --- cross-conn hand-off (called by pool/siblings, NO conn lock held) -----
-
-  // Re-issue a request whose previous wire died. The entry keeps its origin
-  // so the response (or failure) is handed back there for reply routing.
-  void InjectRetry(PendingEntry&& entry) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      retry_inbox_.push_back(std::move(entry));
-    }
-    NotifySelf();
-  }
-
-  // A response another conn read for a lease WE own (retried request came
-  // home). Delivered through our Run slice: we are the lease's bound reply
-  // producer, so only we may push its channel.
-  void InjectForeignReply(uint64_t lease_id, runtime::MsgRef&& msg) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      foreign_replies_.emplace_back(lease_id, std::move(msg));
-    }
-    NotifySelf();
-  }
-
-  // A request of ours failed remotely (retry denied or re-failed): deliver
-  // the kError reply from our own slice.
-  void InjectFailure(uint64_t lease_id) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      fail_queue_.push_back(lease_id);
-    }
-    NotifySelf();
-  }
-
   // --- stats (relaxed; summed by BackendPool::stats) -------------------------
   std::atomic<uint64_t> dials_ok{0};
   std::atomic<uint64_t> dial_failures{0};
@@ -355,15 +284,9 @@ class PoolConnTask : public runtime::Task {
   struct LeaseSlot {
     uint64_t lease_id;
     runtime::Channel* requests;
-    runtime::Channel* replies;  // null for streaming (write-only) legs
-    bool streaming;
-    bool finished;  // streaming leg consumed its EOF
+    runtime::Channel* replies;
+    bool finished;  // leg consumed its EOF
   };
-
-  // All helpers below run under mutex_ (except NotifySelf).
-
-  runtime::TaskRunResult RunLocked(runtime::TaskContext& ctx,
-                                   PoolOutbox& outbox);
 
   void NotifySelf() {
     runtime::Scheduler* scheduler = pool_->scheduler_;
@@ -371,6 +294,8 @@ class PoolConnTask : public runtime::Task {
       scheduler->NotifyRunnable(this);
     }
   }
+
+  // All helpers below run under mutex_.
 
   bool EnsureWire() {
     if (wire_ != nullptr) {
@@ -380,7 +305,7 @@ class PoolConnTask : public runtime::Task {
       return false;
     }
     bool is_probe = false;
-    if (health_ != nullptr && !health_->AllowDial(&is_probe)) {
+    if (!health_.AllowDial(&is_probe)) {
       // Circuit open, or the half-open probe is already claimed by a
       // sibling: do not dial. Pace the next check like a failed dial.
       next_dial_at_ns_.store(
@@ -391,14 +316,11 @@ class PoolConnTask : public runtime::Task {
     auto conn = transport_->Connect(port_);
     if (!conn.ok()) {
       dial_failures.fetch_add(1, std::memory_order_relaxed);
-      if (health_ != nullptr) {
-        // Breaker accounting decides death now (it opens after the
-        // configured failure run and marks every sibling dead); one
-        // transient miss is not death — queued requests survive a blip
-        // and flush on the next dial, as Acquire()'s "requests queue
-        // until redial" promises.
-        health_->OnDialResult(false, is_probe);
-      }
+      // Breaker accounting decides death now (it opens after the configured
+      // failure run and marks every sibling dead); one transient miss is not
+      // death — queued requests survive a blip and flush on the next dial,
+      // as Acquire()'s "requests queue until redial" promises.
+      health_.OnDialResult(false, is_probe);
       next_dial_at_ns_.store(
           MonotonicNanos() + pool_->config_.redial_interval_ns,
           std::memory_order_release);
@@ -411,20 +333,15 @@ class PoolConnTask : public runtime::Task {
     }
     ever_connected_ = true;
     wire_state_.store(WireState::kConnected, std::memory_order_release);
-    if (health_ != nullptr) {
-      health_->OnDialResult(true, is_probe);
-    }
+    health_.OnDialResult(true, is_probe);
     poller_->WatchConnection(wire_.get(), this);
     return true;
   }
 
-  // Tears the wire down and routes the abandoned correlation state: every
-  // in-flight request's response is gone with the old byte stream, so each
-  // FIFO entry either retries on another wire (policy + retained request +
-  // attempts left; the pool decides budget/target in DispatchOutbox), fails
-  // back to its origin conn, or fails locally as a kError reply. A null
-  // outbox (test hook) keeps the legacy drop-counting semantics.
-  void Disconnect(PoolOutbox* outbox) {
+  // Tears the wire down. Every in-flight request's response is gone with
+  // the old byte stream, so each FIFO entry becomes a kError reply to its
+  // lease, queued in FIFO order (DrainFailuresLocked delivers them).
+  void Disconnect() {
     if (wire_ != nullptr) {
       poller_->UnwatchConnection(wire_.get());
       wire_->Close();
@@ -432,26 +349,10 @@ class PoolConnTask : public runtime::Task {
     }
     wire_state_.store(WireState::kDead, std::memory_order_release);
     disconnects.fetch_add(1, std::memory_order_relaxed);
-    if (outbox == nullptr) {
-      responses_dropped.fetch_add(pending_.size(), std::memory_order_relaxed);
-      pending_.clear();
-    } else {
-      const bool retryable = pool_->config_.retry_policy != RetryPolicy::kNone;
-      const uint32_t max_retries = pool_->config_.max_retries_per_request;
-      for (PendingEntry& entry : pending_) {
-        if (retryable && entry.request && entry.attempts < max_retries) {
-          if (entry.origin == nullptr) {
-            entry.origin = this;
-          }
-          outbox->retries.push_back(std::move(entry));
-        } else if (entry.origin != nullptr && entry.origin != this) {
-          outbox->fails.push_back({entry.origin, entry.lease_id});
-        } else {
-          fail_queue_.push_back(entry.lease_id);
-        }
-      }
-      pending_.clear();
+    for (const PendingEntry& entry : pending_) {
+      fail_queue_.push_back(entry.lease_id);
     }
+    pending_.clear();
     rx_.Clear();  // also returns the reserved fill window to the pool
     tx_.Clear();
     fill_window_.Reset();  // the next wire earns its window back
@@ -472,13 +373,7 @@ class PoolConnTask : public runtime::Task {
       responses_dropped.fetch_add(1, std::memory_order_relaxed);  // lease gone
       return true;
     }
-    const LeaseSlot& slot = leases_[it->second];
-    if (slot.replies == nullptr) {
-      // Streaming leg: nothing expects responses; drop without stalling.
-      responses_dropped.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (!slot.replies->TryPush(std::move(msg))) {
+    if (!leases_[it->second].replies->TryPush(std::move(msg))) {
       stalled_reply_ = std::move(msg);
       stalled_reply_lease_ = lease_id;
       return false;
@@ -491,12 +386,11 @@ class PoolConnTask : public runtime::Task {
     return true;
   }
 
-  // Synthesizes and routes the queued kError replies (fail_queue_) and the
-  // foreign responses handed back by retry targets. Deliverable regardless
-  // of wire state — that is the point: a dead backend still answers its
-  // leases, with errors. False when a reply channel filled (stalled_reply_
-  // holds the undeliverable message).
-  bool DrainHandbacksLocked() {
+  // Synthesizes and routes the queued kError replies (fail_queue_).
+  // Deliverable regardless of wire state — that is the point: a dead backend
+  // still answers its leases, with errors. False when a reply channel filled
+  // (stalled_reply_ holds the undeliverable message).
+  bool DrainFailuresLocked() {
     while (!fail_queue_.empty()) {
       const uint64_t lease_id = fail_queue_.front();
       fail_queue_.pop_front();
@@ -507,82 +401,21 @@ class PoolConnTask : public runtime::Task {
         return false;
       }
     }
-    while (!foreign_replies_.empty()) {
-      const uint64_t lease_id = foreign_replies_.front().first;
-      runtime::MsgRef msg = std::move(foreign_replies_.front().second);
-      foreign_replies_.pop_front();
-      if (!RouteReply(std::move(msg), lease_id)) {
-        return false;
-      }
-    }
     return true;
   }
 
-  // Open circuit, wire down: everything queued fails fast instead of
-  // waiting out the open window. Retry-eligible requests go to the outbox
-  // (the pool may still re-issue them on a healthy sibling backend);
-  // everything else becomes a kError reply. EOFs still finish their leg —
-  // an open breaker must not pin a departing graph.
-  void FailFastLocked(PoolOutbox& outbox) {
-    for (PendingEntry& entry : retry_inbox_) {
-      if (entry.origin != nullptr && entry.origin != this) {
-        outbox.fails.push_back({entry.origin, entry.lease_id});
-      } else {
-        fail_queue_.push_back(entry.lease_id);
-      }
-    }
-    retry_inbox_.clear();
-    const bool retryable = pool_->config_.retry_policy != RetryPolicy::kNone;
+  // Open circuit, wire down: every queued request fails fast as a kError
+  // reply instead of waiting out the open window. EOFs still finish their
+  // leg — an open breaker must not pin a departing graph.
+  void FailFastLocked() {
     for (LeaseSlot& slot : leases_) {
-      while (true) {
-        runtime::MsgRef msg = slot.requests->TryPop();
-        if (!msg) {
-          break;
-        }
+      while (runtime::MsgRef msg = slot.requests->TryPop()) {
         if (msg->kind == runtime::Msg::Kind::kEof) {
           slot.finished = true;
-          continue;
-        }
-        if (slot.streaming) {
-          // No response expected, so no kError either: the bytes just
-          // cannot be delivered.
-          requests_failed.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (retryable && pool_->config_.max_retries_per_request > 0) {
-          PendingEntry entry;
-          entry.lease_id = slot.lease_id;
-          entry.request = std::move(msg);
-          entry.origin = this;
-          outbox.retries.push_back(std::move(entry));
         } else {
           fail_queue_.push_back(slot.lease_id);
         }
       }
-    }
-  }
-
-  // Serializes re-issued requests onto our (live) wire; each gets a fresh
-  // deadline and keeps its origin so the response routes home.
-  void DrainRetryInboxLocked(PoolOutbox& outbox) {
-    const uint64_t deadline_base = pool_->config_.request_deadline_ns;
-    while (!retry_inbox_.empty()) {
-      PendingEntry entry = std::move(retry_inbox_.front());
-      retry_inbox_.pop_front();
-      if (!entry.request || !serializer_->Serialize(*entry.request, tx_).ok()) {
-        if (entry.origin != nullptr && entry.origin != this) {
-          outbox.fails.push_back({entry.origin, entry.lease_id});
-        } else {
-          fail_queue_.push_back(entry.lease_id);
-        }
-        continue;
-      }
-      ++msgs_since_flush_;
-      entry.deadline_ns =
-          deadline_base > 0 ? MonotonicNanos() + deadline_base : 0;
-      requests_forwarded.fetch_add(1, std::memory_order_relaxed);
-      pending_.push_back(std::move(entry));
-      runtime::AtomicStoreMax(pipeline_hwm, pending_.size());
     }
   }
 
@@ -616,9 +449,7 @@ class PoolConnTask : public runtime::Task {
   Transport* transport_;
   runtime::IoPoller* poller_;
   runtime::MsgPool* msgs_;
-  const size_t stripe_;
-  const size_t backend_index_;
-  BackendHealth* const health_;
+  BackendHealth& health_;
 
   std::mutex mutex_;
   std::unique_ptr<Connection> wire_;
@@ -647,11 +478,7 @@ class PoolConnTask : public runtime::Task {
   uint64_t armed_deadline_ = 0;             // guarded by mutex_
   std::atomic<bool> deadline_fired_{false};  // set by the wheel fire path
 
-  // Cross-conn inboxes (guarded by mutex_; fed by Inject* with no other
-  // lock held, drained by RunLocked).
-  std::deque<PendingEntry> retry_inbox_;
-  std::deque<std::pair<uint64_t, runtime::MsgRef>> foreign_replies_;
-  std::deque<uint64_t> fail_queue_;
+  std::deque<uint64_t> fail_queue_;  // leases owed a kError reply, in order
 };
 
 // ---------------------------------------------------------------------------
@@ -814,23 +641,7 @@ void BackendHealth::MarkConnsDead() {
 // ---------------------------------------------------------------------------
 
 runtime::TaskRunResult PoolConnTask::Run(runtime::TaskContext& ctx) {
-  PoolOutbox outbox;
-  runtime::TaskRunResult result;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    result = RunLocked(ctx, outbox);
-  }
-  // Cross-conn work leaves the slice with NO lock held: delivering it while
-  // holding mutex_ would lock another conn's mutex under ours — the classic
-  // two-conn deadlock.
-  if (!outbox.empty()) {
-    pool_->DispatchOutbox(this, stripe_, backend_index_, std::move(outbox));
-  }
-  return result;
-}
-
-runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
-                                               PoolOutbox& outbox) {
+  std::lock_guard<std::mutex> lock(mutex_);
   if (deadline_fired_.exchange(false, std::memory_order_acq_rel)) {
     armed_deadline_ = 0;  // the wheel entry is spent; re-arm below if needed
   }
@@ -843,31 +654,29 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       return runtime::TaskRunResult::kIdle;  // reply channel wakes its producer
     }
   }
-  if (!DrainHandbacksLocked()) {
+  if (!DrainFailuresLocked()) {
     return runtime::TaskRunResult::kIdle;
   }
 
   // Head-of-line response deadline: once the oldest in-flight response is
   // overdue the byte stream's correlation is unknowable (everything behind
   // it is suspect too), so the whole wire is dropped — one expiry event, one
-  // breaker failure — and the FIFO fails or retries.
+  // breaker failure — and the FIFO fails.
   if (!pending_.empty() && pending_.front().deadline_ns != 0 &&
       MonotonicNanos() >= pending_.front().deadline_ns) {
     request_deadline_expiries.fetch_add(1, std::memory_order_relaxed);
-    if (health_ != nullptr) {
-      health_->OnWireFailure();
-    }
-    Disconnect(&outbox);
-    if (!DrainHandbacksLocked()) {
+    health_.OnWireFailure();
+    Disconnect();
+    if (!DrainFailuresLocked()) {
       ArmDeadlineLocked();
       return runtime::TaskRunResult::kIdle;
     }
   }
 
   if (!EnsureWire()) {
-    if (health_ != nullptr && health_->BreakerOpen()) {
-      FailFastLocked(outbox);
-      if (!DrainHandbacksLocked()) {
+    if (health_.BreakerOpen()) {
+      FailFastLocked();
+      if (!DrainFailuresLocked()) {
         ArmDeadlineLocked();
         return runtime::TaskRunResult::kIdle;
       }
@@ -876,11 +685,7 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
     return runtime::TaskRunResult::kIdle;  // redial ticker re-kicks us
   }
 
-  DrainRetryInboxLocked(outbox);
-
   const uint64_t deadline_base = pool_->config_.request_deadline_ns;
-  const bool retain_requests =
-      pool_->config_.retry_policy != RetryPolicy::kNone;
 
   while (true) {
     bool progress = false;
@@ -910,30 +715,20 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
           // Disconnect BEFORE counting: tests (and operators) key off the
           // error counter, so the wire drop must already be visible when the
           // counter moves.
-          if (health_ != nullptr) {
-            health_->OnWireFailure();
-          }
-          Disconnect(&outbox);
+          health_.OnWireFailure();
+          Disconnect();
           response_parse_errors.fetch_add(1, std::memory_order_relaxed);
           return runtime::TaskRunResult::kMoreWork;
         }
         progress = true;
         runtime::MsgRef msg = std::move(parse_msg_);
-        PendingEntry entry;
+        uint64_t lease_id = 0;
         if (!pending_.empty()) {
-          entry = std::move(pending_.front());
+          lease_id = pending_.front().lease_id;
           pending_.pop_front();
         }
-        if (health_ != nullptr) {
-          health_->OnResponseRouted();
-        }
-        if (entry.origin != nullptr && entry.origin != this) {
-          // A retried request that came home: the ORIGIN conn is the
-          // lease's bound reply producer, so the response is handed back
-          // through the outbox instead of pushed here.
-          outbox.replies.push_back(
-              {entry.origin, entry.lease_id, std::move(msg)});
-        } else if (!RouteReply(std::move(msg), entry.lease_id)) {
+        health_.OnResponseRouted();
+        if (!RouteReply(std::move(msg), lease_id)) {
           ArmDeadlineLocked();
           return runtime::TaskRunResult::kIdle;  // backpressure: stop reading
         }
@@ -949,10 +744,8 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       const runtime::FillOutcome fill = runtime::FillChainVectored(
           rx_, *wire_, fill_window_, read_batch, &fill_bytes);
       if (fill == runtime::FillOutcome::kError) {
-        if (health_ != nullptr) {
-          health_->OnWireFailure();
-        }
-        Disconnect(&outbox);  // peer closed; redial next run / ticker kick
+        health_.OnWireFailure();
+        Disconnect();  // peer closed; redial next run / ticker kick
         return runtime::TaskRunResult::kMoreWork;
       }
       if (fill == runtime::FillOutcome::kNoBuffers) {
@@ -977,9 +770,8 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
     // end), and the loop-bottom flush once the channels are drained.
     const size_t depth_cap = pool_->config_.max_pipeline_depth;
     const size_t watermark = pool_->config_.flush_watermark_bytes;
-    // The backlog cap is the flow control for streaming legs, which never
-    // occupy pipeline slots: when the wire is backpressured the forced flush
-    // below cannot drain tx_, this loop stops popping, and the pressure
+    // The backlog cap bounds tx_ while the wire is backpressured: the forced
+    // flush below cannot drain tx_, this loop stops popping, and the pressure
     // propagates to the issuing graphs through their full request channels.
     const size_t backlog_cap =
         watermark > 0 ? watermark : static_cast<size_t>(-1);
@@ -1021,52 +813,35 @@ runtime::TaskRunResult PoolConnTask::RunLocked(runtime::TaskContext& ctx,
       if (!serializer_->Serialize(*msg, tx_).ok()) {
         // Partial serialization would corrupt the shared stream for every
         // lease on this wire: drop it and redial clean.
-        Disconnect(&outbox);
+        Disconnect();
         return runtime::TaskRunResult::kMoreWork;
       }
       ++msgs_since_flush_;
-      if (!slot.streaming) {
-        // Streaming legs expect no response: no correlation slot, no
-        // pipeline-depth charge — that is the "non-pipelined" mode.
-        PendingEntry entry;
-        entry.lease_id = slot.lease_id;
-        if (deadline_base > 0) {
-          entry.deadline_ns = MonotonicNanos() + deadline_base;
-        }
-        if (retain_requests) {
-          entry.request = std::move(msg);
-        }
-        pending_.push_back(std::move(entry));
-        runtime::AtomicStoreMax(pipeline_hwm, pending_.size());
-      }
+      pending_.push_back(PendingEntry{
+          slot.lease_id, deadline_base > 0 ? MonotonicNanos() + deadline_base : 0});
+      runtime::AtomicStoreMax(pipeline_hwm, pending_.size());
       requests_forwarded.fetch_add(1, std::memory_order_relaxed);
       ctx.ItemDone();
       if (watermark > 0 && tx_.readable() >= watermark) {
         batch.flushes_forced.fetch_add(1, std::memory_order_relaxed);
         if (!FlushWire()) {
-          if (health_ != nullptr) {
-            health_->OnWireFailure();
-          }
-          Disconnect(&outbox);
+          health_.OnWireFailure();
+          Disconnect();
           return runtime::TaskRunResult::kMoreWork;
         }
       }
       if (ctx.ShouldYield()) {
         if (!FlushWire()) {
-          if (health_ != nullptr) {
-            health_->OnWireFailure();
-          }
-          Disconnect(&outbox);
+          health_.OnWireFailure();
+          Disconnect();
         }
         return runtime::TaskRunResult::kMoreWork;
       }
     }
 
     if (!FlushWire()) {
-      if (health_ != nullptr) {
-        health_->OnWireFailure();
-      }
-      Disconnect(&outbox);
+      health_.OnWireFailure();
+      Disconnect();
       return runtime::TaskRunResult::kMoreWork;
     }
 
@@ -1096,12 +871,10 @@ PoolLease& PoolLease::operator=(PoolLease&& other) noexcept {
   if (this != &other) {
     pool_ = other.pool_;
     id_ = other.id_;
-    exclusive_ = other.exclusive_;
     stripe_ = other.stripe_;
     conn_index_ = std::move(other.conn_index_);
     other.pool_ = nullptr;
     other.id_ = 0;
-    other.exclusive_ = false;
     other.stripe_ = 0;
     other.conn_index_.clear();
   }
@@ -1126,9 +899,7 @@ BackendPool::~BackendPool() {
   }
   for (const auto& stripe : stripes_) {
     for (const StripeBackend& backend : stripe->backends) {
-      if (backend.health != nullptr) {
-        backend.health->CancelTimer();
-      }
+      backend.health->CancelTimer();
     }
   }
 }
@@ -1160,7 +931,7 @@ Status BackendPool::EnsureStarted(runtime::PlatformEnv& env) {
         backend.conns.push_back(std::make_unique<internal::PoolConnTask>(
             "pool-" + std::to_string(config_.ports[b]) + "-s" + std::to_string(s) +
                 "-" + std::to_string(c),
-            this, config_.ports[b], env, poller, s, b, backend.health.get()));
+            this, config_.ports[b], env, poller, s, *backend.health));
       }
       std::vector<internal::PoolConnTask*> conn_ptrs;
       conn_ptrs.reserve(backend.conns.size());
@@ -1168,7 +939,6 @@ Status BackendPool::EnsureStarted(runtime::PlatformEnv& env) {
         conn_ptrs.push_back(conn.get());
       }
       backend.health->Init(this, &poller->wheel(), std::move(conn_ptrs));
-      backend.exclusive_claimed.assign(backend.conns.size(), 0);
       backend.active_leases.assign(backend.conns.size(), 0);
       stripe->backends.push_back(std::move(backend));
     }
@@ -1210,92 +980,6 @@ Status BackendPool::EnsureStarted(runtime::PlatformEnv& env) {
   return OkStatus();
 }
 
-void BackendPool::DispatchOutbox(internal::PoolConnTask* from,
-                                 size_t stripe_index, size_t backend_index,
-                                 internal::PoolOutbox&& outbox) {
-  // Hand-backs first: they are owed to origin conns regardless of retry
-  // admission.
-  for (auto& reply : outbox.replies) {
-    reply.origin->InjectForeignReply(reply.lease_id, std::move(reply.msg));
-  }
-  for (const auto& fail : outbox.fails) {
-    fail.origin->InjectFailure(fail.lease_id);
-  }
-  if (outbox.retries.empty()) {
-    return;
-  }
-
-  Stripe& stripe = *stripes_[stripe_index];
-  const RetryPolicy policy = config_.retry_policy;
-  const size_t n_backends = stripe.backends.size();
-
-  // A healthy target: closed breaker, live wire, not the conn that just
-  // failed. Retries stay within the failing conn's stripe (share-nothing:
-  // the origin's reply channel lives on this shard's column).
-  auto healthy_conn =
-      [&](StripeBackend& backend) -> internal::PoolConnTask* {
-    if (backend.health != nullptr &&
-        backend.health->state() != internal::BackendHealth::State::kClosed) {
-      return nullptr;
-    }
-    for (const auto& conn : backend.conns) {
-      if (conn.get() != from && conn->connected()) {
-        return conn.get();
-      }
-    }
-    return nullptr;
-  };
-
-  for (auto& entry : outbox.retries) {
-    internal::PoolConnTask* target = nullptr;
-    if (entry.attempts < config_.max_retries_per_request) {
-      if (policy == RetryPolicy::kSameBackend) {
-        target = healthy_conn(stripe.backends[backend_index]);
-      } else if (policy == RetryPolicy::kAnyBackend) {
-        // Prefer a DIFFERENT backend than the one that just failed.
-        for (size_t k = 1; k <= n_backends && target == nullptr; ++k) {
-          target = healthy_conn(stripe.backends[(backend_index + k) % n_backends]);
-        }
-      }
-    }
-    if (target == nullptr || !TryTakeRetryToken()) {
-      retries_denied_.fetch_add(1, std::memory_order_relaxed);
-      internal::PoolConnTask* origin =
-          entry.origin != nullptr ? entry.origin : from;
-      origin->InjectFailure(entry.lease_id);
-      continue;
-    }
-    ++entry.attempts;
-    if (entry.origin == nullptr) {
-      entry.origin = from;
-    }
-    retries_spent_.fetch_add(1, std::memory_order_relaxed);
-    target->InjectRetry(std::move(entry));
-  }
-}
-
-bool BackendPool::TryTakeRetryToken() {
-  if (config_.retry_policy == RetryPolicy::kNone) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(retry_mutex_);
-  const uint64_t now = MonotonicNanos();
-  if (retry_refill_ns_ == 0) {
-    retry_tokens_ = static_cast<double>(config_.retry_burst);
-  } else {
-    const double elapsed_s =
-        static_cast<double>(now - retry_refill_ns_) * 1e-9;
-    retry_tokens_ = std::min(static_cast<double>(config_.retry_burst),
-                             retry_tokens_ + elapsed_s * config_.retry_budget_per_sec);
-  }
-  retry_refill_ns_ = now;
-  if (retry_tokens_ < 1.0) {
-    return false;
-  }
-  retry_tokens_ -= 1.0;
-  return true;
-}
-
 bool BackendPool::BackendBreakerOpen(size_t backend_index) const {
   if (!started_.load(std::memory_order_acquire)) {
     return false;
@@ -1304,23 +988,26 @@ bool BackendPool::BackendBreakerOpen(size_t backend_index) const {
     return false;
   }
   for (const auto& stripe : stripes_) {
-    const StripeBackend& backend = stripe->backends[backend_index];
-    if (backend.health == nullptr || !backend.health->BreakerOpen()) {
+    if (!stripe->backends[backend_index].health->BreakerOpen()) {
       return false;
     }
   }
   return true;
 }
 
-Result<PoolLease> BackendPool::AcquireFromStripe(size_t stripe_index) {
+Result<PoolLease> BackendPool::Acquire(size_t preferred_stripe) {
+  if (!started_.load(std::memory_order_acquire)) {
+    return FailedPrecondition("BackendPool: not started");
+  }
+  // The hot path locks nothing but the home stripe's mutex.
+  const size_t stripe_index = preferred_stripe % stripes_.size();
   Stripe& stripe = *stripes_[stripe_index];
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  // Two phases: pick every backend's slot first, mutate lease bookkeeping
-  // only once the whole acquisition is known to succeed — a mid-loop failure
-  // must not strand active_leases increments (an abandoned partial PoolLease
-  // never releases; see ~PoolLease).
-  std::vector<size_t> slots;
-  slots.reserve(stripe.backends.size());
+  PoolLease lease;
+  lease.pool_ = this;
+  lease.id_ = next_lease_id_.fetch_add(1, std::memory_order_relaxed);
+  lease.stripe_ = stripe_index;
+  lease.conn_index_.reserve(stripe.backends.size());
   bool waited = false;
   for (StripeBackend& backend : stripe.backends) {
     // Guard the cursor before use: a layout that shrank (or a cursor that
@@ -1329,18 +1016,15 @@ Result<PoolLease> BackendPool::AcquireFromStripe(size_t stripe_index) {
     if (backend.next_rr >= backend.conns.size()) {
       backend.next_rr = 0;
     }
-    // One round-robin sweep from the cursor over the slots no exclusive
-    // lease holds, preferring (0) connected wires, then (1) wires still
-    // dialling (requests queue until the dial lands), then (2) dead wires
-    // (the lease still queues for the redial) — so a redial-lagged slot
-    // never captures placement while a live sibling sits idle.
-    size_t slot = PoolLease::kNoSlot;
+    // One round-robin sweep from the cursor, preferring (0) connected wires,
+    // then (1) wires still dialling (requests queue until the dial lands),
+    // then (2) dead wires (the lease still queues for the redial) — so a
+    // redial-lagged slot never captures placement while a live sibling sits
+    // idle.
+    size_t slot = 0;
     int slot_tier = 3;
     for (size_t t = 0; t < backend.conns.size(); ++t) {
       const size_t cand = (backend.next_rr + t) % backend.conns.size();
-      if (backend.exclusive_claimed[cand]) {
-        continue;
-      }
       int tier = 2;
       switch (backend.conns[cand]->wire_state()) {
         case internal::PoolConnTask::WireState::kConnected: tier = 0; break;
@@ -1355,123 +1039,18 @@ Result<PoolLease> BackendPool::AcquireFromStripe(size_t stripe_index) {
         }
       }
     }
-    if (slot == PoolLease::kNoSlot) {
-      return ResourceExhausted("BackendPool: every connection to port " +
-                               std::to_string(backend.port) + " in stripe " +
-                               std::to_string(stripe_index) +
-                               " is exclusively claimed");
-    }
     backend.next_rr = (slot + 1) % backend.conns.size();
     if (slot_tier != 0) {
       waited = true;  // requests queue until the redial ticker succeeds
     }
-    slots.push_back(slot);
-  }
-  PoolLease lease;
-  lease.pool_ = this;
-  lease.id_ = next_lease_id_.fetch_add(1, std::memory_order_relaxed);
-  lease.stripe_ = stripe_index;
-  lease.conn_index_ = std::move(slots);
-  for (size_t b = 0; b < stripe.backends.size(); ++b) {
-    ++stripe.backends[b].active_leases[lease.conn_index_[b]];
+    ++backend.active_leases[slot];
+    lease.conn_index_.push_back(slot);
   }
   leases_acquired_.fetch_add(1, std::memory_order_relaxed);
   if (waited) {
     lease_waits_.fetch_add(1, std::memory_order_relaxed);
   }
   return lease;
-}
-
-Result<PoolLease> BackendPool::Acquire(size_t preferred_stripe) {
-  if (!started_.load(std::memory_order_acquire)) {
-    return FailedPrecondition("BackendPool: not started");
-  }
-  // Home stripe first — the hot path locks nothing but that stripe's mutex.
-  // Spill to neighbours only when the home stripe cannot serve the lease.
-  const size_t n = stripes_.size();
-  const size_t home = preferred_stripe % n;
-  Status last_error = OkStatus();
-  for (size_t k = 0; k < n; ++k) {
-    auto lease = AcquireFromStripe((home + k) % n);
-    if (lease.ok()) {
-      if (k > 0) {
-        stripe_spills_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return lease;
-    }
-    last_error = lease.status();
-  }
-  return last_error;
-}
-
-Result<PoolLease> BackendPool::AcquireExclusiveFromStripe(size_t backend_index,
-                                                          size_t stripe_index) {
-  Stripe& stripe = *stripes_[stripe_index];
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  StripeBackend& backend = stripe.backends[backend_index];
-  // Sole use means sole use: only a slot with no live leases (shared or
-  // exclusive) is eligible, or the stream would interleave with pipelined
-  // traffic already on that wire. Prefer a connected slot so a persistent
-  // streaming wire is reused instead of a dead sibling redialled.
-  size_t slot = PoolLease::kNoSlot;
-  int slot_tier = 3;
-  for (size_t c = 0; c < backend.conns.size(); ++c) {
-    if (backend.exclusive_claimed[c] || backend.active_leases[c] != 0) {
-      continue;
-    }
-    const int tier = backend.conns[c]->connected() ? 0 : 1;
-    if (tier < slot_tier) {
-      slot = c;
-      slot_tier = tier;
-      if (tier == 0) {
-        break;
-      }
-    }
-  }
-  if (slot == PoolLease::kNoSlot) {
-    return ResourceExhausted("BackendPool: every connection to port " +
-                             std::to_string(backend.port) + " in stripe " +
-                             std::to_string(stripe_index) +
-                             " is claimed or carrying live leases");
-  }
-  backend.exclusive_claimed[slot] = 1;
-  ++backend.active_leases[slot];
-  PoolLease lease;
-  lease.pool_ = this;
-  lease.id_ = next_lease_id_.fetch_add(1, std::memory_order_relaxed);
-  lease.exclusive_ = true;
-  lease.stripe_ = stripe_index;
-  lease.conn_index_.assign(stripe.backends.size(), PoolLease::kNoSlot);
-  lease.conn_index_[backend_index] = slot;
-  leases_acquired_.fetch_add(1, std::memory_order_relaxed);
-  if (slot_tier != 0) {
-    lease_waits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return lease;
-}
-
-Result<PoolLease> BackendPool::AcquireExclusive(size_t backend_index,
-                                                size_t preferred_stripe) {
-  if (!started_.load(std::memory_order_acquire)) {
-    return FailedPrecondition("BackendPool: not started");
-  }
-  if (backend_index >= config_.ports.size()) {
-    return InvalidArgument("BackendPool: backend index out of range");
-  }
-  const size_t n = stripes_.size();
-  const size_t home = preferred_stripe % n;
-  Status last_error = OkStatus();
-  for (size_t k = 0; k < n; ++k) {
-    auto lease = AcquireExclusiveFromStripe(backend_index, (home + k) % n);
-    if (lease.ok()) {
-      if (k > 0) {
-        stripe_spills_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return lease;
-    }
-    last_error = lease.status();
-  }
-  return last_error;
 }
 
 void BackendPool::Attach(const PoolLease& lease, size_t backend_index,
@@ -1481,7 +1060,6 @@ void BackendPool::Attach(const PoolLease& lease, size_t backend_index,
   Stripe& stripe = *stripes_[lease.stripe_];
   FLICK_CHECK(backend_index < stripe.backends.size());
   const size_t slot = lease.conn_index_[backend_index];
-  FLICK_CHECK(slot != PoolLease::kNoSlot);
   stripe.backends[backend_index].conns[slot]->AttachLease(lease.id_, requests,
                                                           replies, scheduler_);
 }
@@ -1492,11 +1070,7 @@ bool BackendPool::LeaseFinished(const PoolLease& lease) const {
   }
   const Stripe& stripe = *stripes_[lease.stripe_];
   for (size_t b = 0; b < lease.conn_index_.size(); ++b) {
-    const size_t slot = lease.conn_index_[b];
-    if (slot == PoolLease::kNoSlot) {
-      continue;
-    }
-    if (!stripe.backends[b].conns[slot]->LeaseFinished(lease.id_)) {
+    if (!stripe.backends[b].conns[lease.conn_index_[b]]->LeaseFinished(lease.id_)) {
       return false;
     }
   }
@@ -1509,33 +1083,22 @@ void BackendPool::Release(PoolLease& lease) {
   }
   Stripe& stripe = *stripes_[lease.stripe_];
   for (size_t b = 0; b < lease.conn_index_.size(); ++b) {
-    const size_t slot = lease.conn_index_[b];
-    if (slot == PoolLease::kNoSlot) {
-      continue;
-    }
-    stripe.backends[b].conns[slot]->DetachLease(lease.id_);
+    stripe.backends[b].conns[lease.conn_index_[b]]->DetachLease(lease.id_);
   }
   {
     // Return the slots to circulation; the wires stay up and keep their
     // place in the stripe (the next lease reuses them without a dial).
     std::lock_guard<std::mutex> lock(stripe.mutex);
     for (size_t b = 0; b < lease.conn_index_.size(); ++b) {
-      const size_t slot = lease.conn_index_[b];
-      if (slot == PoolLease::kNoSlot) {
-        continue;
-      }
-      if (stripe.backends[b].active_leases[slot] > 0) {
-        --stripe.backends[b].active_leases[slot];
-      }
-      if (lease.exclusive_) {
-        stripe.backends[b].exclusive_claimed[slot] = 0;
+      uint32_t& active = stripe.backends[b].active_leases[lease.conn_index_[b]];
+      if (active > 0) {
+        --active;
       }
     }
   }
   leases_released_.fetch_add(1, std::memory_order_relaxed);
   lease.pool_ = nullptr;
   lease.id_ = 0;
-  lease.exclusive_ = false;
   lease.stripe_ = 0;
   lease.conn_index_.clear();
 }
@@ -1588,17 +1151,11 @@ BackendPoolStats BackendPool::stats() const {
   s.leases_released = leases_released_.load(std::memory_order_relaxed);
   s.lease_waits = lease_waits_.load(std::memory_order_relaxed);
   s.stripes = stripes_.size();
-  s.stripe_spills = stripe_spills_.load(std::memory_order_relaxed);
-  s.retries_spent = retries_spent_.load(std::memory_order_relaxed);
-  s.retries_denied = retries_denied_.load(std::memory_order_relaxed);
   for (const auto& stripe : stripes_) {
     for (const StripeBackend& backend : stripe->backends) {
-      if (backend.health != nullptr) {
-        s.breaker_opens += backend.health->opens.load(std::memory_order_relaxed);
-        s.breaker_half_opens +=
-            backend.health->half_opens.load(std::memory_order_relaxed);
-        s.breaker_closes += backend.health->closes.load(std::memory_order_relaxed);
-      }
+      s.breaker_opens += backend.health->opens.load(std::memory_order_relaxed);
+      s.breaker_half_opens += backend.health->half_opens.load(std::memory_order_relaxed);
+      s.breaker_closes += backend.health->closes.load(std::memory_order_relaxed);
       for (const auto& conn : backend.conns) {
         s.conns_dialed += conn->dials_ok.load(std::memory_order_relaxed);
         s.dial_failures += conn->dial_failures.load(std::memory_order_relaxed);

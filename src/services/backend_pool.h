@@ -31,10 +31,9 @@
 // shard, each with its own slice of wires (watched by that shard's poller,
 // redialled by that shard's wheel ticker), its own mutex and its own round-robin
 // cursor. A graph launched on shard k leases from stripe k, so the hot
-// acquire/release path never contends with other shards; it spills to a
-// neighbour stripe only when its own is exhausted (counted in
-// stripe_spills). The global mutex survives only for the cold path: start
-// and layout-wide folds (stats, live_connections).
+// acquire/release path never contends with other shards. The global mutex
+// survives only for the cold path: start and layout-wide folds (stats,
+// live_connections).
 #ifndef FLICK_SERVICES_BACKEND_POOL_H_
 #define FLICK_SERVICES_BACKEND_POOL_H_
 
@@ -56,7 +55,6 @@ class BackendPool;
 namespace internal {
 class PoolConnTask;
 class BackendHealth;
-struct PoolOutbox;
 }  // namespace internal
 
 struct BackendPoolConfig {
@@ -70,9 +68,8 @@ struct BackendPoolConfig {
   // Stripes the pool's wires are partitioned into — one per IO shard, each
   // with its own lease mutex and round-robin cursor, its connections watched
   // by that shard's poller. The hot lease path (Acquire/Release from a
-  // graph on shard k) touches only stripe k's lock; it crosses stripes only
-  // when the home stripe is exhausted (counted in stripe_spills). 0 =
-  // derive from the platform's shard count at EnsureStarted.
+  // graph on shard k) touches only stripe k's lock. 0 = derive from the
+  // platform's shard count at EnsureStarted.
   size_t io_shards = 0;
 
   // In-flight (sent, unanswered) requests allowed per connection. When the
@@ -101,10 +98,10 @@ struct BackendPoolConfig {
   // Response deadline per in-flight request, armed on the stripe's shard
   // wheel when the request enters the wire FIFO. Expiry drops the wire (the
   // byte stream's correlation is unknowable once the head response is
-  // overdue), fails or retries the in-flight entries, and counts a breaker
-  // failure. 0 disables (the raw-config default, so channel-level tests that
-  // deliberately park requests keep their semantics; services arm it via
-  // WireOptions).
+  // overdue), fails every in-flight entry with a kError reply, and counts a
+  // breaker failure. 0 disables (the raw-config default, so channel-level
+  // tests that deliberately park requests keep their semantics; services arm
+  // it via WireOptions).
   uint64_t request_deadline_ns = 0;
 
   // Circuit breaker per (backend, stripe): consecutive failures — failed
@@ -115,16 +112,6 @@ struct BackendPoolConfig {
   // for "this backend is down" (it replaced the per-conn 3-strikes counter).
   uint32_t breaker_failure_threshold = 3;
   uint64_t breaker_open_ns = 100'000'000;
-
-  // Retry policy for requests whose wire died or deadline expired (see
-  // services::RetryPolicy for semantics + the response-ordering caveat).
-  RetryPolicy retry_policy = RetryPolicy::kNone;
-  uint32_t max_retries_per_request = 1;
-
-  // Pool-wide retry token bucket: a flapping backend must not amplify load
-  // into a retry storm. Exhaustion fails the request (retries_denied).
-  double retry_budget_per_sec = 100.0;
-  uint32_t retry_burst = 32;
 
   // Wire codecs: requests out, responses in. The deserializer must frame
   // complete responses (response correlation is per-message).
@@ -154,7 +141,6 @@ struct BackendPoolStats {
   uint64_t fills_short = 0;         // fills that proved the wire drained
   uint64_t reads_legacy_equivalent = 0;  // reads the per-buffer path would issue
   uint64_t stripes = 0;             // layout: stripes the pool was started with
-  uint64_t stripe_spills = 0;       // leases that left their home stripe
   uint64_t live_connections = 0;    // snapshot, not monotonic
 
   // --- health plane --------------------------------------------------------
@@ -163,8 +149,6 @@ struct BackendPoolStats {
   uint64_t breaker_closes = 0;      // half-open -> closed (probe succeeded)
   uint64_t request_deadline_expiries = 0;  // deadline events (one per wire drop)
   uint64_t requests_failed = 0;     // kError replies delivered to legs
-  uint64_t retries_spent = 0;       // re-issues that found a healthy target
-  uint64_t retries_denied = 0;      // budget/attempts/target exhausted
 };
 
 // Move-only claim on one pooled connection per backend. Handed out by
@@ -175,10 +159,6 @@ struct BackendPoolStats {
 // explicitly while the pool is alive.
 class PoolLease {
  public:
-  // Backends an exclusive lease does not cover (and, for any lease, slots
-  // that are not claimed).
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
   PoolLease() = default;
   ~PoolLease();
 
@@ -191,23 +171,15 @@ class PoolLease {
   uint64_t id() const { return id_; }
   size_t backend_count() const { return conn_index_.size(); }
 
-  // The stripe every claimed slot of this lease lives in. Normally the
-  // acquiring graph's IO shard; differs only when the home stripe was
-  // exhausted and the acquisition spilled.
+  // The stripe every claimed slot of this lease lives in: the acquiring
+  // graph's IO shard, modulo the stripe count.
   size_t stripe() const { return stripe_; }
-
-  // Exclusive leases (AcquireExclusive) hold sole future use of one
-  // connection slot: no later lease — shared or exclusive — lands on that
-  // slot until this one is released. Used for long-lived streaming sinks
-  // that must not interleave with pipelined request/response traffic.
-  bool exclusive() const { return exclusive_; }
 
  private:
   friend class BackendPool;
 
   BackendPool* pool_ = nullptr;
   uint64_t id_ = 0;
-  bool exclusive_ = false;
   size_t stripe_ = 0;
   std::vector<size_t> conn_index_;  // per backend: claimed slot within stripe_
 };
@@ -226,35 +198,17 @@ class BackendPool {
   // lifetime contract services already have with GraphRegistry.
   Status EnsureStarted(runtime::PlatformEnv& env);
 
-  // Claims one connection per backend within one stripe — `preferred_stripe`
-  // (the caller's IO shard; GraphBuilder passes env.io_shard) when it has a
-  // free slot for every backend, else the nearest stripe that does (counted
-  // in stripe_spills). Within a stripe placement is round-robin over the
-  // slots that are not exclusively held, preferring connected wires over
-  // dead ones. Fails if the pool has no backends, was never started, or
-  // EVERY stripe has a backend with all slots exclusively claimed; a
-  // temporarily disconnected backend still yields a lease (requests queue
-  // until redial).
+  // Claims one connection per backend within stripe `preferred_stripe` (the
+  // caller's IO shard, modulo the stripe count; GraphBuilder passes
+  // env.io_shard). Every slot is shared, so the home stripe always has one:
+  // placement is round-robin, preferring connected wires over dead ones.
+  // Fails only if the pool was never started; a temporarily disconnected
+  // backend still yields a lease (requests queue until redial).
   Result<PoolLease> Acquire(size_t preferred_stripe = 0);
-
-  // Claims sole use of one connection slot of `backend_index` (the ROADMAP's
-  // non-pipelined mode for long-lived streaming sinks, e.g. the hadoop
-  // reducer leg), from `preferred_stripe` with the same spill rule as
-  // Acquire. Only a slot with NO live leases — shared or exclusive — is
-  // eligible, so the stream never interleaves with pipelined traffic already
-  // on the wire; the wire itself persists across leases (release returns the
-  // slot, it never closes the connection). Fails with kResourceExhausted
-  // when every stripe's slots for that backend are claimed or carrying live
-  // leases.
-  Result<PoolLease> AcquireExclusive(size_t backend_index,
-                                     size_t preferred_stripe = 0);
 
   // Binds one backend's slice of `lease` to a graph's edge channels:
   // `requests` (graph -> pool) and `replies` (pool -> graph). Must happen
   // before the graph's IO is activated. Called by GraphBuilder::Launch.
-  // `replies == nullptr` declares a streaming (write-only) leg: requests are
-  // serialized onto the wire without occupying pipeline-correlation slots,
-  // and an EOF popped from `requests` marks the leg's stream finished.
   void Attach(const PoolLease& lease, size_t backend_index,
               runtime::Channel* requests, runtime::Channel* replies);
 
@@ -296,9 +250,10 @@ class BackendPool {
   // dead-slot-skew checks).
   std::vector<uint32_t> SlotActiveLeases(size_t backend_index, size_t stripe = 0) const;
 
-  // Forcibly drops one wire (as a peer close would) and defers its redial by
-  // `redial_hold_ns`. Test hook for constructing mixed live/dead slot states
-  // deterministically.
+  // Forcibly drops one wire as a lost wire would — every in-flight request
+  // on it is answered kError — and defers its redial by `redial_hold_ns`.
+  // Breaker accounting is untouched. Test hook for constructing mixed
+  // live/dead slot states deterministically.
   void CloseConnectionForTest(size_t backend_index, size_t slot, size_t stripe = 0,
                               uint64_t redial_hold_ns = 0);
 
@@ -315,8 +270,7 @@ class BackendPool {
     std::vector<std::unique_ptr<internal::PoolConnTask>> conns;
     std::unique_ptr<internal::BackendHealth> health;  // circuit breaker
     size_t next_rr = 0;  // round-robin lease placement cursor
-    std::vector<uint8_t> exclusive_claimed;  // per slot
-    std::vector<uint32_t> active_leases;     // per slot
+    std::vector<uint32_t> active_leases;  // per slot
   };
 
   // One IO shard's share of the pool: its own lock and cursors, its wires
@@ -326,22 +280,6 @@ class BackendPool {
     mutable std::mutex mutex;
     std::vector<StripeBackend> backends;  // one per backend port
   };
-
-  // Picks one non-exclusive slot per backend inside `stripe`; commits the
-  // lease bookkeeping only when every backend yielded a slot.
-  Result<PoolLease> AcquireFromStripe(size_t stripe);
-  Result<PoolLease> AcquireExclusiveFromStripe(size_t backend_index, size_t stripe);
-
-  // Delivers a run slice's cross-connection work — retries to re-issue,
-  // foreign replies/failures to hand back to origin tasks — with NO conn
-  // mutex held (the caller's Run wrapper already dropped its own). Retries
-  // take a budget token and a healthy target here; entries that get neither
-  // fail back to their origin.
-  void DispatchOutbox(internal::PoolConnTask* from, size_t stripe_index,
-                      size_t backend_index, internal::PoolOutbox&& outbox);
-
-  // Token-bucket admission for one retry. Lock-bound but failure-path only.
-  bool TryTakeRetryToken();
 
   BackendPoolConfig config_;
 
@@ -364,14 +302,6 @@ class BackendPool {
   std::atomic<uint64_t> leases_acquired_{0};
   std::atomic<uint64_t> leases_released_{0};
   std::atomic<uint64_t> lease_waits_{0};
-  std::atomic<uint64_t> stripe_spills_{0};
-
-  // Retry token bucket (failure path only, so a plain mutex is fine).
-  std::mutex retry_mutex_;
-  double retry_tokens_ = 0.0;          // guarded by retry_mutex_
-  uint64_t retry_refill_ns_ = 0;       // guarded by retry_mutex_; 0 = unfilled
-  std::atomic<uint64_t> retries_spent_{0};
-  std::atomic<uint64_t> retries_denied_{0};
 };
 
 }  // namespace flick::services

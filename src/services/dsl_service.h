@@ -5,9 +5,9 @@
 // + unit synthesis) -> lowering pass (lang/lower.h: native dispatch handlers
 // with pre-resolved field indices, interpreter fallback for unprovable rules)
 // -> per-connection task graph on the pooled/sharded runtime. Backend legs
-// run through the striped BackendPool by default (request deadlines, circuit
-// breakers and budgeted retries for free); Options::wire.mode == kPerClient
-// restores the paper's original dedicated-connection shape.
+// run through the striped BackendPool by default (request deadlines and
+// circuit breakers for free); Options::wire.mode == kPerClient restores the
+// paper's original dedicated-connection shape.
 //
 // Dispatch observability: RegistryStats{dsl_lowered_msgs,
 // dsl_interp_fallbacks} count messages executed by lowered plans vs the

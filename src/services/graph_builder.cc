@@ -225,13 +225,12 @@ NodeRef GraphBuilder::Tee(std::string name) {
 
 size_t GraphBuilder::PoolUseIndex(BackendPool& pool) {
   for (size_t i = 0; i < pool_uses_.size(); ++i) {
-    // Exclusive legs own their lease; only the shared lease is reused.
-    if (pool_uses_[i].pool == &pool && !pool_uses_[i].lease.exclusive()) {
+    if (pool_uses_[i].pool == &pool) {
       return i;
     }
   }
   // Lease from the launching shard's stripe: the whole leg — graph tasks,
-  // watches, pooled wire — stays on one shard unless the stripe is exhausted.
+  // watches, pooled wire — stays on one shard.
   auto lease = pool.Acquire(env_.io_shard);
   if (!lease.ok()) {
     Poison(lease.status());
@@ -277,51 +276,6 @@ GraphBuilder::PooledLeg GraphBuilder::PoolLeg(BackendPool& pool, size_t backend_
   pool_bindings_.push_back(
       PoolBinding{use, backend_index, leg.sink.index_, leg.source.index_});
   return leg;
-}
-
-NodeRef GraphBuilder::ExclusivePoolLeg(BackendPool& pool, size_t backend_index,
-                                       size_t capacity) {
-  if (!status_.ok()) {
-    return NodeRef();
-  }
-  if (Status s = pool.EnsureStarted(env_); !s.ok()) {
-    Poison(std::move(s));
-    return NodeRef();
-  }
-  if (backend_index >= pool.backend_count()) {
-    Poison(InvalidArgument("ExclusivePoolLeg: backend index out of range"));
-    return NodeRef();
-  }
-  // Own lease per exclusive leg — never shared with the builder's pooled
-  // fan-out lease, so the claimed slot is this stream's alone.
-  auto lease = pool.AcquireExclusive(backend_index, env_.io_shard);
-  if (!lease.ok()) {
-    Poison(lease.status());
-    return NodeRef();
-  }
-  return ExclusivePoolLeg(pool, std::move(lease).value(), backend_index, capacity);
-}
-
-NodeRef GraphBuilder::ExclusivePoolLeg(BackendPool& pool, PoolLease lease,
-                                       size_t backend_index, size_t capacity) {
-  if (!status_.ok()) {
-    pool.Release(lease);  // poisoned builders must not strand a caller's lease
-    return NodeRef();
-  }
-  if (!lease.valid() || !lease.exclusive() || backend_index >= pool.backend_count()) {
-    pool.Release(lease);
-    Poison(InvalidArgument("ExclusivePoolLeg: invalid lease or backend index"));
-    return NodeRef();
-  }
-  pool_uses_.push_back(PoolUse{&pool, std::move(lease)});
-  NodeSpec spec;
-  spec.kind = NodeKind::kPoolSink;
-  spec.name = "pool-stream-out-" + std::to_string(backend_index);
-  spec.preferred_capacity = capacity;
-  NodeRef sink = AddNode(std::move(spec));
-  pool_bindings_.push_back(PoolBinding{pool_uses_.size() - 1, backend_index,
-                                       sink.index_, PoolBinding::kInvalid});
-  return sink;
 }
 
 std::vector<GraphBuilder::PooledLeg> GraphBuilder::FanOutPooled(BackendPool& pool,
@@ -608,19 +562,12 @@ Status GraphBuilder::Launch(GraphRegistry& registry) {
   stats_.io_shard = env_.io_shard;
 
   // Bind pooled legs before IO activation: once a graph task is notified it
-  // may push requests, and the pool must already be the consumer. Streaming
-  // legs (no source node) attach without a reply channel.
+  // may push requests, and the pool must already be the consumer.
   for (const PoolBinding& binding : pool_bindings_) {
     PoolUse& use = pool_uses_[binding.pool_use];
-    runtime::Channel* requests = channels[nodes_[binding.sink_node].in_edges[0]];
-    runtime::Channel* replies =
-        binding.source_node == PoolBinding::kInvalid
-            ? nullptr
-            : channels[nodes_[binding.source_node].out_edges[0]];
-    if (replies == nullptr) {
-      ++stats_.exclusive_legs;
-    }
-    use.pool->Attach(use.lease, binding.backend_index, requests, replies);
+    use.pool->Attach(use.lease, binding.backend_index,
+                     channels[nodes_[binding.sink_node].in_edges[0]],
+                     channels[nodes_[binding.source_node].out_edges[0]]);
   }
 
   // Connection lifetime plane: platform policy with per-builder overrides,

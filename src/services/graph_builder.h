@@ -101,7 +101,6 @@ struct GraphLaunchStats {
   size_t connections = 0;  // legs adopted or dialled (dedicated wires)
   size_t watched = 0;      // legs with a read-side input task
   size_t pooled_legs = 0;  // legs served by a BackendPool lease (no dial)
-  size_t exclusive_legs = 0;  // streaming legs on an exclusive lease
   size_t flush_watermark = 0; // forced-flush threshold applied to the sinks
   size_t fill_window = 0;     // rx fill-window cap applied to the sources
   size_t io_shard = 0;        // IO shard the graph's legs are pinned to
@@ -221,23 +220,6 @@ class GraphBuilder {
   // one lease per builder.
   PooledLeg PoolLeg(BackendPool& pool, size_t backend_index, size_t capacity = 0);
 
-  // Streaming (write-only) pooled leg on its OWN exclusive lease: sole future
-  // use of one connection slot, no pipelining with other graphs' traffic, no
-  // response path — the long-lived streaming-sink shape (hadoop_agg's reducer
-  // leg). Returns the sink node to wire `.From(stream)`. Retirement waits for
-  // the stream's EOF to reach the pool before the lease is returned, so no
-  // in-channel data is ever dropped; the wire persists for the next lease.
-  NodeRef ExclusivePoolLeg(BackendPool& pool, size_t backend_index,
-                           size_t capacity = 0);
-
-  // Same, over a lease the caller already holds (AcquireExclusive) — for
-  // services that acquire BEFORE wiring so an exhausted pool can fall back
-  // to a dedicated leg instead of poisoning the whole graph (hadoop_agg).
-  // The builder takes ownership; on a poisoned builder or invalid lease the
-  // lease is returned to the pool.
-  NodeRef ExclusivePoolLeg(BackendPool& pool, PoolLease lease, size_t backend_index,
-                           size_t capacity = 0);
-
   // Pairwise binary merge tree over `streams` ("combining elements in a
   // pair-wise manner until only the result remains", §4.3). Returns the root
   // stream; with a single input stream no merge node is created.
@@ -291,8 +273,7 @@ class GraphBuilder {
     runtime::InputTask* source_task = nullptr;      // filled during Launch
   };
 
-  // One lease per (builder, pool) for shared legs; exclusive legs each carry
-  // their own lease. Legs record which lease slot they bind.
+  // One lease per (builder, pool). Legs record which lease they bind.
   struct PoolUse {
     BackendPool* pool;
     PoolLease lease;
@@ -301,8 +282,7 @@ class GraphBuilder {
     size_t pool_use;       // index into pool_uses_
     size_t backend_index;  // backend within the pool
     size_t sink_node;      // kPoolSink node index
-    size_t source_node;    // kPoolSource node index; kInvalid = streaming leg
-    static constexpr size_t kInvalid = static_cast<size_t>(-1);
+    size_t source_node;    // kPoolSource node index
   };
 
   NodeRef AddNode(NodeSpec spec);

@@ -9,23 +9,17 @@
 // The combine is a partial aggregation (a Hadoop combiner): counts of
 // adjacent equal keys are merged, totals are always preserved.
 //
-// The reducer leg defaults to a pooled EXCLUSIVE lease (BackendPool in
-// non-pipelined streaming mode): the reducer wire persists across
-// aggregation graphs — successive mapper batches reuse it instead of
-// redialling — while exclusivity keeps the long-lived stream from
-// interleaving with any other lease's traffic. Retirement waits for the
-// stream's EOF to reach the pool, so no combined pair is dropped. The
-// paper-shape dedicated dial remains available via Options.
+// Each aggregation graph dials its own reducer connection, as in the paper:
+// the reducer stream is one-way and long-lived, so there is no request/reply
+// pipelining for a BackendPool to share.
 #ifndef FLICK_SERVICES_HADOOP_AGG_H_
 #define FLICK_SERVICES_HADOOP_AGG_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "runtime/platform.h"
-#include "services/backend_pool.h"
 #include "services/service_util.h"
 
 namespace flick::services {
@@ -33,13 +27,13 @@ namespace flick::services {
 class HadoopAggService : public runtime::ServiceProgram {
  public:
   struct Options {
-    // The shared wire-policy knobs — see services::WireOptions. Here
-    // wire.conns_per_backend is the number of pool slots to the reducer ==
-    // aggregation graphs that may stream concurrently (each claims one
-    // exclusively); wire.mode selects the pooled exclusive lease (default)
-    // vs a dedicated dialled reducer connection per graph (paper shape).
-    // Mapper legs are ingest-only, so the lifetime windows govern stalled
-    // mapper streams.
+    // The shared wire-policy knobs — see services::WireOptions. Only the
+    // graph-builder ones apply: flush_watermark_bytes (the reducer sink),
+    // fill_window (the mapper sources) and the lifetime windows
+    // idle_timeout_ns / header_deadline_ns, which govern stalled mapper
+    // streams. The reducer leg is always a dedicated dial, so mode and the
+    // pool knobs (conns_per_backend, max_pipeline_depth, io_shards,
+    // request_deadline_ns, breaker_*) are ignored.
     WireOptions wire;
   };
 
@@ -55,23 +49,12 @@ class HadoopAggService : public runtime::ServiceProgram {
   size_t live_graphs() const { return registry_.live_graphs(); }
   const GraphRegistry& registry() const { return registry_; }
 
-  // Null in kPerClient mode.
-  const BackendPool* pool() const { return pool_.get(); }
-
-  // Batches that fell back to a dedicated dialled reducer leg because every
-  // pool slot was exclusively held (concurrent batches > reducer_conns).
-  uint64_t dedicated_fallbacks() const {
-    return dedicated_fallbacks_.load(std::memory_order_relaxed);
-  }
-
  private:
   void BuildGraph(runtime::PlatformEnv& env);
 
   const int expected_mappers_;
   const uint16_t reducer_port_;
   const Options options_;
-  std::unique_ptr<BackendPool> pool_;
-  std::atomic<uint64_t> dedicated_fallbacks_{0};
   std::mutex mutex_;
   std::vector<std::unique_ptr<Connection>> pending_;
   GraphRegistry registry_;

@@ -82,28 +82,15 @@ void HttpLbService::OnConnection(std::unique_ptr<Connection> conn,
                     if (input_index != 0) {
                       return runtime::HandleResult::kConsumed;
                     }
-                    // All-or-nothing broadcast: a dropped EOF would leave
-                    // client-out open forever (the graph never retires), so
-                    // block until every output has room. Safe to pre-check:
-                    // this stage is each output's only producer.
-                    for (size_t o = 0; o < 2; ++o) {
-                      if (!emit.CanEmit(o)) {
-                        return runtime::HandleResult::kBlocked;
-                      }
-                    }
-                    for (size_t o = 0; o < 2; ++o) {
-                      runtime::MsgRef eof = emit.NewMsg();
-                      eof->kind = runtime::Msg::Kind::kEof;
-                      emit.Emit(o, std::move(eof));
-                    }
-                    return runtime::HandleResult::kConsumed;
+                    // Client left: EOF to the pool leg and the client leg.
+                    return runtime::BroadcastEof(emit);
                   }
                   if (msg.kind == runtime::Msg::Kind::kError) {
                     // The pooled leg failed this request (deadline expiry,
-                    // open circuit, lost wire with no retry left): its FIFO
-                    // position is already spent, so answer 502 and ask the
-                    // client to close — a single emit keeps the failure
-                    // path idempotent under kBlocked retries.
+                    // open circuit, lost wire): its FIFO position is
+                    // already spent, so answer 502 and ask the client to
+                    // close — a single emit keeps the failure path
+                    // idempotent under kBlocked retries.
                     runtime::MsgRef rsp = emit.NewMsg();
                     rsp->kind = runtime::Msg::Kind::kHttp;
                     rsp->http = proto::MakeResponse(502, "",

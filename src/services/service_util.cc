@@ -14,10 +14,6 @@ void WireOptions::ApplyTo(BackendPoolConfig& cfg) const {
   cfg.request_deadline_ns = request_deadline_ns;
   cfg.breaker_failure_threshold = breaker_failure_threshold;
   cfg.breaker_open_ns = breaker_open_ns;
-  cfg.retry_policy = retry_policy;
-  cfg.max_retries_per_request = max_retries_per_request;
-  cfg.retry_budget_per_sec = retry_budget_per_sec;
-  cfg.retry_burst = retry_burst;
 }
 
 GraphBuilder& WireOptions::ApplyTo(GraphBuilder& b) const {

@@ -29,25 +29,6 @@ inline constexpr uint64_t kInheritLifetimeNs = UINT64_MAX;
 // kernel-stack shape).
 enum class BackendMode { kPooled, kPerClient };
 
-// What the pool does with a request whose wire died or whose response
-// deadline expired before an answer arrived.
-//
-//   kNone        — fail fast: the issuing leg receives a kError reply and the
-//                  dispatch stage translates it (502 / memcached error).
-//                  Response order per lease is preserved, so this is the
-//                  default for protocol paths where clients correlate by
-//                  arrival order.
-//   kSameBackend — re-issue on a sibling connection of the SAME backend
-//                  (key-partitioned protocols must not change backend).
-//   kAnyBackend  — re-issue on any healthy (closed-breaker, connected)
-//                  backend, preferring a different one than the failed dial.
-//
-// Retried responses are handed back through the origin connection task (the
-// reply channel's bound producer), so a retry may REORDER responses within a
-// lease relative to requests that failed outright — only enable retries on
-// paths that correlate responses explicitly or serialize their requests.
-enum class RetryPolicy : uint8_t { kNone, kSameBackend, kAnyBackend };
-
 struct BackendPoolConfig;  // backend_pool.h
 class GraphBuilder;        // graph_builder.h
 
@@ -97,13 +78,6 @@ struct WireOptions {
   // the circuit, and how long it stays open before a half-open probe.
   uint32_t breaker_failure_threshold = 3;
   uint64_t breaker_open_ns = 100'000'000;
-  // Budgeted retries for failed in-flight requests (see RetryPolicy for the
-  // ordering caveat; default off).
-  RetryPolicy retry_policy = RetryPolicy::kNone;
-  uint32_t max_retries_per_request = 1;
-  // Token bucket shared by the whole pool: sustained retries/sec and burst.
-  double retry_budget_per_sec = 100.0;
-  uint32_t retry_burst = 32;
 
   // Copies the backend-facing knobs into a pool config (ports and codecs
   // remain the service's business).

@@ -818,72 +818,18 @@ TEST_F(BackendPoolTest, PartialWritevMidIovecKeepsStreamCorrect) {
   platform.Stop();
 }
 
-// --- exclusive (streaming) leases ----------------------------------------------
+// --- the hadoop reducer leg ----------------------------------------------------
 
-// An exclusive claim takes the slot out of circulation for everyone until
-// released; release returns it without touching the wire.
-TEST_F(BackendPoolTest, ExclusiveLeaseExcludesOtherAcquires) {
-  auto& platform = MakePlatform();
-  services::BackendPool pool(MemcachedPoolConfig({11001}, 1));
-  platform.Start();
-  ScopedPlatformStop stop_guard(platform);
-  ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-
-  auto exclusive = pool.AcquireExclusive(0);
-  ASSERT_TRUE(exclusive.ok());
-  EXPECT_TRUE(exclusive->exclusive());
-
-  auto shared = pool.Acquire();
-  EXPECT_FALSE(shared.ok());
-  EXPECT_EQ(shared.status().code(), StatusCode::kResourceExhausted);
-  auto second = pool.AcquireExclusive(0);
-  EXPECT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-
-  services::PoolLease lease = std::move(exclusive).value();
-  pool.Release(lease);
-  EXPECT_TRUE(pool.Acquire().ok()) << "released slot must re-enter circulation";
-  platform.Stop();
-}
-
-// A failed shared Acquire (a later backend fully claimed) must roll back
-// cleanly: no stranded per-slot lease accounting that would block future
-// exclusive claims on the earlier backends.
-TEST_F(BackendPoolTest, FailedSharedAcquireLeavesNoLeaseResidue) {
-  auto& platform = MakePlatform();
-  services::BackendPool pool(MemcachedPoolConfig({11001, 11002}, 1));
-  platform.Start();
-  ScopedPlatformStop stop_guard(platform);
-  ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-
-  auto exclusive_b = pool.AcquireExclusive(1);  // backend 1's only slot
-  ASSERT_TRUE(exclusive_b.ok());
-
-  // Shared acquire picks backend 0's slot, then fails on backend 1 — the
-  // pick on backend 0 must not count as a live lease.
-  auto shared = pool.Acquire();
-  ASSERT_FALSE(shared.ok());
-
-  services::PoolLease lease_b = std::move(exclusive_b).value();
-  pool.Release(lease_b);
-  EXPECT_TRUE(pool.AcquireExclusive(0).ok())
-      << "backend 0's slot must be idle after the aborted shared acquire";
-  platform.Stop();
-}
-
-// The hadoop shape end to end: aggregation graphs stream to the reducer over
-// an exclusive pooled lease. Successive batches must REUSE the persistent
-// reducer wire (one dial total), retire cleanly (the detach gate waits for
-// each stream's EOF), and deliver every batch's pairs.
+// The hadoop shape end to end: each aggregation graph streams to the reducer
+// over its own dialled leg, outside the pool. Two successive batches must
+// each deliver their pairs and retire cleanly (the reducer sink flushes the
+// merged stream before its graph goes), with no launch failure.
 TEST_F(BackendPoolTest, ExclusiveStreamingLegReusesReducerWireAcrossGraphs) {
   load::ReducerSink sink(&transport_, 9900);
   ASSERT_TRUE(sink.Start().ok());
 
   auto& platform = MakePlatform();
-  services::HadoopAggService::Options options;
-  options.wire.conns_per_backend = 1;  // both batches must land on the SAME wire
-  services::HadoopAggService agg(/*expected_mappers=*/2, /*reducer_port=*/9900,
-                                 options);
+  services::HadoopAggService agg(/*expected_mappers=*/2, /*reducer_port=*/9900);
   ASSERT_TRUE(platform.RegisterProgram(9800, &agg).ok());
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
@@ -901,21 +847,15 @@ TEST_F(BackendPoolTest, ExclusiveStreamingLegReusesReducerWireAcrossGraphs) {
   // poller thread, so "no live graphs" is trivially true before adoption.
   ASSERT_TRUE(WaitFor(
       [&] { return agg.registry().stats().graphs_retired == 1; }, 10'000ms));
+  const uint64_t after_first = sink.pairs_received();
 
   const load::MapperResult second = load::RunMapperLoad(&transport_, cfg);
   ASSERT_GT(second.pairs_sent, 0u);
   ASSERT_TRUE(WaitFor(
       [&] { return agg.registry().stats().graphs_retired == 2; }, 10'000ms));
-
-  ASSERT_NE(agg.pool(), nullptr);
-  EXPECT_GT(sink.pairs_received(), 0u);
-  const services::BackendPoolStats stats = agg.pool()->stats();
-  EXPECT_EQ(stats.conns_dialed, 1u) << "second batch must reuse the reducer wire";
-  EXPECT_EQ(stats.leases_acquired, 2u);
-  EXPECT_EQ(stats.leases_released, 2u);
-  EXPECT_EQ(stats.disconnects, 0u);
-  EXPECT_GE(stats.requests_forwarded, 2u);
-  EXPECT_EQ(agg.registry().stats().detaches_run, 2u);
+  EXPECT_TRUE(WaitFor([&] { return sink.pairs_received() > after_first; }))
+      << "the second batch delivered no pairs";
+  EXPECT_EQ(agg.registry().stats().launch_failures, 0u);
   platform.Stop();
 }
 
@@ -938,7 +878,6 @@ TEST_F(BackendPoolTest, StripedPoolKeepsLeasesOnHomeStripe) {
   ASSERT_TRUE(lease0.ok() && lease1.ok());
   EXPECT_EQ(lease0->stripe(), 0u);
   EXPECT_EQ(lease1->stripe(), 1u);
-  EXPECT_EQ(pool.stats().stripe_spills, 0u);
   // Each stripe accounts its own lease.
   EXPECT_EQ(pool.SlotActiveLeases(0, 0), std::vector<uint32_t>{1});
   EXPECT_EQ(pool.SlotActiveLeases(0, 1), std::vector<uint32_t>{1});
@@ -949,70 +888,6 @@ TEST_F(BackendPoolTest, StripedPoolKeepsLeasesOnHomeStripe) {
   pool.Release(l1);
   EXPECT_EQ(pool.SlotActiveLeases(0, 0), std::vector<uint32_t>{0});
   EXPECT_EQ(pool.SlotActiveLeases(0, 1), std::vector<uint32_t>{0});
-  platform.Stop();
-}
-
-// An exhausted home stripe spills to the neighbour (counted); once the home
-// stripe frees up, later leases stay home again.
-TEST_F(BackendPoolTest, ExhaustedStripeSpillsToNeighbourAndCounts) {
-  auto& platform = MakePlatform();
-  auto cfg = MemcachedPoolConfig({11001}, 1);
-  cfg.io_shards = 2;
-  services::BackendPool pool(std::move(cfg));
-  platform.Start();
-  ScopedPlatformStop stop_guard(platform);
-  ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-
-  // Claim stripe 0's only slot exclusively: shared acquires preferring
-  // stripe 0 must spill to stripe 1.
-  auto exclusive = pool.AcquireExclusive(0, /*preferred_stripe=*/0);
-  ASSERT_TRUE(exclusive.ok());
-  EXPECT_EQ(exclusive->stripe(), 0u);
-
-  auto spilled = pool.Acquire(/*preferred_stripe=*/0);
-  ASSERT_TRUE(spilled.ok());
-  EXPECT_EQ(spilled->stripe(), 1u);
-  EXPECT_EQ(pool.stats().stripe_spills, 1u);
-
-  services::PoolLease ex = std::move(exclusive).value();
-  pool.Release(ex);
-  auto home_again = pool.Acquire(/*preferred_stripe=*/0);
-  ASSERT_TRUE(home_again.ok());
-  EXPECT_EQ(home_again->stripe(), 0u);
-  EXPECT_EQ(pool.stats().stripe_spills, 1u) << "no spill once home has room";
-
-  services::PoolLease s = std::move(spilled).value();
-  services::PoolLease h = std::move(home_again).value();
-  pool.Release(s);
-  pool.Release(h);
-  platform.Stop();
-}
-
-// Every stripe exhausted -> the acquire fails instead of silently blocking.
-TEST_F(BackendPoolTest, AllStripesExclusivelyClaimedFailsAcquire) {
-  auto& platform = MakePlatform();
-  auto cfg = MemcachedPoolConfig({11001}, 1);
-  cfg.io_shards = 2;
-  services::BackendPool pool(std::move(cfg));
-  platform.Start();
-  ScopedPlatformStop stop_guard(platform);
-  ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-
-  auto ex0 = pool.AcquireExclusive(0, 0);
-  auto ex1 = pool.AcquireExclusive(0, 1);
-  ASSERT_TRUE(ex0.ok() && ex1.ok());
-  EXPECT_EQ(ex0->stripe(), 0u);
-  EXPECT_EQ(ex1->stripe(), 1u);
-  EXPECT_EQ(pool.stats().stripe_spills, 0u) << "both went to their home stripe";
-
-  auto shared = pool.Acquire(0);
-  EXPECT_FALSE(shared.ok());
-  EXPECT_EQ(shared.status().code(), StatusCode::kResourceExhausted);
-
-  services::PoolLease a = std::move(ex0).value();
-  services::PoolLease b = std::move(ex1).value();
-  pool.Release(a);
-  pool.Release(b);
   platform.Stop();
 }
 

@@ -9,9 +9,8 @@
 //     successful probe closes the circuit and restores traffic,
 //   * request deadlines: a stalled backend fails the in-flight request with
 //     kError instead of pinning the lease,
-//   * budgeted retries: an expired request re-issues onto a DIFFERENT
-//     healthy backend (kAnyBackend), and budget exhaustion fails fast
-//     instead of hanging,
+//   * lost wires: a reset mid-pipeline answers every in-flight request that
+//     lost its response with kError, in FIFO order, and the wire redials,
 //   * degradation: http_lb answers an immediate 502 + close when every
 //     breaker is open, and memcached cache mode serves the last-known-good
 //     value during a backend outage (cache_stale_served).
@@ -417,7 +416,7 @@ TEST_F(ChaosTest, HalfOpenWindowAdmitsExactlyOneProbe) {
   platform.Stop();
 }
 
-// --- request deadlines + retries ------------------------------------------------
+// --- request deadlines ----------------------------------------------------------
 
 // A backend that accepts requests but never answers (scripted rx stall) must
 // fail the in-flight request with kError once the response deadline expires
@@ -469,7 +468,6 @@ TEST_F(ChaosTest, DeadlineExpiryFailsRequestFast) {
   EXPECT_EQ(stats.requests_failed, 1u);
   EXPECT_EQ(stats.responses_routed, 0u);
   EXPECT_EQ(stats.breaker_opens, 1u);
-  EXPECT_EQ(stats.retries_spent, 0u);
   EXPECT_EQ(net_.fault_counters(12003).read_stalls, 1u);
   EXPECT_TRUE(pool.BackendBreakerOpen(0));
 
@@ -478,99 +476,101 @@ TEST_F(ChaosTest, DeadlineExpiryFailsRequestFast) {
   platform.Stop();
 }
 
-// kAnyBackend: the expired request re-issues onto a DIFFERENT healthy
-// backend, and its response is handed back through the origin leg — the
-// client sees the other backend's answer, not an error.
-TEST_F(ChaosTest, ExpiredRequestRetriesOntoAnotherBackend) {
-  load::MemcachedBackend stalled(&transport_, 12004);
-  load::MemcachedBackend healthy(&transport_, 12005);
-  ASSERT_TRUE(stalled.Start().ok() && healthy.Start().ok());
-  stalled.Preload("key", "value-stalled");
-  healthy.Preload("key", "value-healthy");
+// --- lost wires -----------------------------------------------------------------
 
+// One lease pipelines k GETs on one wire, and the wire is reset right after
+// the j-th response. The lease gets the j real responses and then k - j
+// kError replies, in send order and each exactly once: the lost requests keep
+// their FIFO slots and nothing is dropped. The wire then redials and serves
+// the next request.
+TEST_F(ChaosTest, LostWireFailsInFlightRequestsInFifoOrder) {
+  constexpr size_t kInFlight = 8;  // k
+  constexpr size_t kAnswered = 3;  // j
+  constexpr uint16_t kPort = 12011;
+  auto key = [](size_t i) { return "key-" + std::to_string(i); };
+  auto response_for = [](std::string_view k) {
+    grammar::Message resp;
+    proto::BuildResponse(&resp, proto::kMemcachedGet, proto::kMemcachedStatusOk,
+                         /*key=*/"", "value-" + std::string(k));
+    return proto::ToWire(resp);
+  };
+
+  // Reset the first dial's wire at the byte boundary after the j-th response.
+  uint64_t rst_at = 0;
+  for (size_t i = 0; i < kAnswered; ++i) {
+    rst_at += response_for(key(i)).size();
+  }
   FaultPlan plan;
-  ConnFaultSpec stall;
-  stall.stall_rx_after_bytes = 0;
-  stall.stall_rx_for_ns = 60'000'000'000;
-  plan.conn_faults = {stall};
-  plan.repeat_last = true;
-  net_.InjectFaults(12004, std::move(plan));
+  ConnFaultSpec rst;
+  rst.rst_after_rx_bytes = rst_at;
+  plan.conn_faults = {rst};
+  net_.InjectFaults(kPort, std::move(plan));
+
+  // Scripted backend: on its first wire it answers only once all k requests
+  // have arrived, in one write, so every request is in flight when the reset
+  // lands; later wires answer each request as it arrives.
+  auto listener = transport_.Listen(kPort);
+  ASSERT_TRUE(listener.ok());
+  std::atomic<bool> stop{false};
+  std::thread backend([&] {
+    BufferPool buffers(64, 4096);
+    struct Peer {
+      Peer(std::unique_ptr<Connection> c, BufferPool* pool, size_t n)
+          : conn(std::move(c)), rx(pool), parser(&proto::MemcachedUnit()), batch(n) {}
+      std::unique_ptr<Connection> conn;
+      BufferChain rx;
+      grammar::UnitParser parser;
+      std::vector<std::string> keys;
+      size_t batch;
+    };
+    std::vector<std::unique_ptr<Peer>> peers;
+    while (!stop.load(std::memory_order_acquire)) {
+      if (auto c = (*listener)->Accept()) {
+        const size_t batch = peers.empty() ? kInFlight : 1;
+        peers.push_back(std::make_unique<Peer>(std::move(c), &buffers, batch));
+      }
+      for (auto& peer : peers) {
+        char buf[1024];
+        auto got = peer->conn->Read(buf, sizeof(buf));
+        if (!got.ok() || *got == 0) {
+          continue;
+        }
+        peer->rx.Append(buf, *got);
+        grammar::Message req;
+        while (peer->parser.Feed(peer->rx, &req) == grammar::ParseStatus::kDone) {
+          peer->keys.emplace_back(proto::MemcachedCommand(&req).key());
+        }
+        if (peer->keys.size() >= peer->batch) {
+          std::string out;
+          for (const std::string& k : peer->keys) {
+            out += response_for(k);
+          }
+          peer->keys.clear();
+          (void)peer->conn->Write(out.data(), out.size());
+        }
+      }
+      std::this_thread::sleep_for(200us);
+    }
+  });
+  // Joins the backend thread on ANY exit path (incl. failed ASSERTs) before
+  // the listener above unwinds.
+  struct BackendGuard {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~BackendGuard() {
+      stop.store(true, std::memory_order_release);
+      if (thread.joinable()) {
+        thread.join();
+      }
+    }
+  } backend_guard{stop, backend};
 
   auto& platform = MakePlatform();
-  auto cfg = MemcachedPoolConfig({12004, 12005});
-  cfg.request_deadline_ns = 50'000'000;
-  cfg.breaker_failure_threshold = 3;  // one expiry must not open the circuit
-  cfg.retry_policy = services::RetryPolicy::kAnyBackend;
-  cfg.max_retries_per_request = 1;
-  services::BackendPool pool(std::move(cfg));
+  services::BackendPool pool(MemcachedPoolConfig({kPort}));
   platform.Start();
   ScopedPlatformStop stop_guard(platform);
   ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-  ASSERT_TRUE(WaitFor([&] { return pool.live_connections() == 2; }));
-
-  auto lease = pool.Acquire();
-  ASSERT_TRUE(lease.ok());
-  runtime::Channel requests(16);
-  runtime::Channel replies(16);
-  pool.Attach(*lease, /*backend_index=*/0, &requests, &replies);  // stalled leg
-  runtime::MsgPool msgs(16);
-  runtime::MsgRef req = msgs.Acquire();
-  req->kind = runtime::Msg::Kind::kGrammar;
-  proto::BuildRequest(&req->gmsg, proto::kMemcachedGet, "key");
-  ASSERT_TRUE(requests.TryPush(std::move(req)));
-
-  runtime::MsgRef reply;
-  ASSERT_TRUE(WaitFor([&] {
-    reply = replies.TryPop();
-    return static_cast<bool>(reply);
-  }));
-  ASSERT_EQ(reply->kind, runtime::Msg::Kind::kGrammar)
-      << "the retry must deliver a real response, not an error";
-  EXPECT_EQ(proto::MemcachedCommand(&reply->gmsg).value(), "value-healthy")
-      << "the retry must land on the OTHER backend";
-  EXPECT_GE(healthy.requests_served(), 1u);
-
-  const services::BackendPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.request_deadline_expiries, 1u);
-  EXPECT_EQ(stats.retries_spent, 1u);
-  EXPECT_EQ(stats.retries_denied, 0u);
-  EXPECT_EQ(stats.responses_routed, 1u);
-  EXPECT_EQ(stats.requests_failed, 0u);
-
-  services::PoolLease l = std::move(lease).value();
-  pool.Release(l);
-  platform.Stop();
-}
-
-// An exhausted retry budget fails the request with kError — never a hang,
-// never an unbudgeted re-issue.
-TEST_F(ChaosTest, RetryBudgetExhaustionFailsInsteadOfHanging) {
-  load::MemcachedBackend stalled(&transport_, 12006);
-  load::MemcachedBackend healthy(&transport_, 12007);
-  ASSERT_TRUE(stalled.Start().ok() && healthy.Start().ok());
-  healthy.Preload("key", "value-healthy");
-
-  FaultPlan plan;
-  ConnFaultSpec stall;
-  stall.stall_rx_after_bytes = 0;
-  stall.stall_rx_for_ns = 60'000'000'000;
-  plan.conn_faults = {stall};
-  plan.repeat_last = true;
-  net_.InjectFaults(12006, std::move(plan));
-
-  auto& platform = MakePlatform();
-  auto cfg = MemcachedPoolConfig({12006, 12007});
-  cfg.request_deadline_ns = 50'000'000;
-  cfg.breaker_failure_threshold = 3;
-  cfg.retry_policy = services::RetryPolicy::kAnyBackend;
-  cfg.max_retries_per_request = 1;
-  cfg.retry_budget_per_sec = 0.0;  // bone-dry bucket:
-  cfg.retry_burst = 0;             // every retry must be denied
-  services::BackendPool pool(std::move(cfg));
-  platform.Start();
-  ScopedPlatformStop stop_guard(platform);
-  ASSERT_TRUE(pool.EnsureStarted(platform.env()).ok());
-  ASSERT_TRUE(WaitFor([&] { return pool.live_connections() == 2; }));
+  ASSERT_TRUE(WaitFor([&] { return pool.live_connections() == 1; }));
 
   auto lease = pool.Acquire();
   ASSERT_TRUE(lease.ok());
@@ -578,24 +578,57 @@ TEST_F(ChaosTest, RetryBudgetExhaustionFailsInsteadOfHanging) {
   runtime::Channel replies(16);
   pool.Attach(*lease, /*backend_index=*/0, &requests, &replies);
   runtime::MsgPool msgs(16);
-  runtime::MsgRef req = msgs.Acquire();
-  req->kind = runtime::Msg::Kind::kGrammar;
-  proto::BuildRequest(&req->gmsg, proto::kMemcachedGet, "key");
-  ASSERT_TRUE(requests.TryPush(std::move(req)));
+  auto send = [&](const std::string& k) {
+    runtime::MsgRef req = msgs.Acquire();
+    req->kind = runtime::Msg::Kind::kGrammar;
+    proto::BuildRequest(&req->gmsg, proto::kMemcachedGet, k);
+    return requests.TryPush(std::move(req));
+  };
+  auto next_reply = [&] {
+    runtime::MsgRef reply;
+    EXPECT_TRUE(WaitFor([&] {
+      reply = replies.TryPop();
+      return static_cast<bool>(reply);
+    })) << "a request was never answered";
+    return reply;
+  };
 
-  runtime::MsgRef reply;
-  ASSERT_TRUE(WaitFor([&] {
-    reply = replies.TryPop();
-    return static_cast<bool>(reply);
-  })) << "a denied retry must fail the request, not hang it";
-  EXPECT_EQ(reply->kind, runtime::Msg::Kind::kError);
+  for (size_t i = 0; i < kInFlight; ++i) {
+    ASSERT_TRUE(send(key(i)));
+  }
+  for (size_t i = 0; i < kInFlight; ++i) {
+    runtime::MsgRef reply = next_reply();
+    ASSERT_TRUE(reply) << "reply " << i;
+    if (i < kAnswered) {
+      ASSERT_EQ(reply->kind, runtime::Msg::Kind::kGrammar) << "reply " << i;
+      EXPECT_EQ(proto::MemcachedCommand(&reply->gmsg).value(), "value-" + key(i))
+          << "responses must arrive in send order";
+    } else {
+      EXPECT_EQ(reply->kind, runtime::Msg::Kind::kError)
+          << "reply " << i << " lost its response and must fail";
+    }
+  }
 
-  const services::BackendPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.retries_denied, 1u);
-  EXPECT_EQ(stats.retries_spent, 0u);
-  EXPECT_EQ(stats.requests_failed, 1u);
-  EXPECT_EQ(healthy.requests_served(), 0u)
-      << "nothing may reach the healthy backend without a budget token";
+  services::BackendPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.responses_routed, kAnswered);
+  EXPECT_EQ(stats.requests_failed, kInFlight - kAnswered);
+  EXPECT_EQ(stats.responses_dropped, 0u);
+  EXPECT_EQ(stats.disconnects, 1u);
+  EXPECT_EQ(net_.fault_counters(kPort).rsts, 1u);
+
+  // The wire redials (the second dial carries no fault) and serves again.
+  ASSERT_TRUE(WaitFor([&] { return pool.stats().reconnects == 1; }));
+  ASSERT_TRUE(send("key-later"));
+  runtime::MsgRef later = next_reply();
+  ASSERT_TRUE(later);
+  ASSERT_EQ(later->kind, runtime::Msg::Kind::kGrammar);
+  EXPECT_EQ(proto::MemcachedCommand(&later->gmsg).value(), "value-key-later");
+  EXPECT_FALSE(replies.TryPop()) << "every request is answered exactly once";
+
+  stats = pool.stats();
+  EXPECT_EQ(stats.responses_routed, kAnswered + 1);
+  EXPECT_EQ(stats.requests_failed, kInFlight - kAnswered);
+  EXPECT_EQ(stats.responses_dropped, 0u);
 
   services::PoolLease l = std::move(lease).value();
   pool.Release(l);

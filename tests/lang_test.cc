@@ -66,7 +66,7 @@ fun test_cache: (-/cmd client, [-/cmd] backends, cache: ref dict<string*string>,
         cache[req.key] => client
 )";
 
-// Listing 3 (normalised foldt syntax; see DESIGN.md).
+// Listing 3 (normalised foldt syntax).
 constexpr const char* kHadoopSource = R"(
 type kv: record
     key : string
